@@ -236,6 +236,7 @@ func BenchmarkFig4HostExecution(b *testing.B) {
 			in.FillNormal(tensor.NewRNG(7), 0, 1)
 			ctx := nn.Inference()
 			ctx.Algo = v.algo
+			_ = net.Forward(&ctx, in) // build the lazy weight views untimed
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

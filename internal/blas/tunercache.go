@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"syscall"
 )
 
 // TunerCache makes AlgoTuner verdicts durable across process starts: a
@@ -129,12 +130,22 @@ func (c *TunerCache) Path() string { return c.path }
 // re-reads and merges the current on-disk entries (ours win), so
 // concurrent processes sharing a cache directory converge instead of
 // torching each other's verdicts; the rename keeps every reader seeing
-// a complete file.
+// a complete file. An exclusive flock on the cache directory spans the
+// read→merge→rename, so savers in other processes (or other caches on
+// the same directory) cannot interleave and drop each other's entries.
 func (c *TunerCache) Save() (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.dirty {
 		return false, nil
+	}
+	dir, err := os.Open(filepath.Dir(c.path))
+	if err != nil {
+		return false, fmt.Errorf("blas: tuner cache dir: %w", err)
+	}
+	defer dir.Close()
+	if err := syscall.Flock(int(dir.Fd()), syscall.LOCK_EX); err != nil {
+		return false, fmt.Errorf("blas: tuner cache lock: %w", err)
 	}
 	if f, ok := c.readFile(); ok {
 		for k, v := range f.Entries {

@@ -9,7 +9,6 @@ package prune
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -66,35 +65,92 @@ func StdThreshold(p *nn.Param, quality float64) int {
 	return MagnitudeThreshold(p, float32(quality*p.W.Std()))
 }
 
-// ToSparsity prunes the smallest-magnitude weights of p until the layer
-// reaches the target zero fraction. Already-masked weights count toward
-// the target.
+// ToSparsity prunes the smallest-magnitude weights of p until exactly
+// round(target·n) of its n weights are zero. Already-masked weights
+// count toward the target.
+//
+// The cut-off τ is the goal-th smallest |w|, found by selection rather
+// than a full sort. Every weight with |w| < τ is removed; of the weights
+// tied at |w| == τ, exactly the shortfall is removed, spread evenly over
+// the ties in index order (tie rank j goes iff ⌊(j+1)·need/ties⌋ ≠
+// ⌊j·need/ties⌋). Ties beyond already-zero weights only arise in
+// quantised layers, where thousands of entries share ±Wp/±Wn; the
+// spread keeps such a layer's zeros from clustering in a few rows.
 func ToSparsity(p *nn.Param, target float64) {
 	if target < 0 || target > 1 {
 		panic(fmt.Sprintf("prune: target sparsity %v outside [0,1]", target))
 	}
 	ensureMask(p)
-	w := p.W.Data()
-	n := len(w)
-	goal := int(math.Round(target * float64(n)))
-	type wv struct {
-		idx int
-		abs float32
+	w, m := p.W.Data(), p.Mask.Data()
+	goal := int(math.Round(target * float64(len(w))))
+	if goal == 0 {
+		return
 	}
-	all := make([]wv, n)
+	abs := make([]float32, len(w))
 	for i, v := range w {
-		a := v
-		if a < 0 {
-			a = -a
+		abs[i] = abs32(v)
+	}
+	tau := selectKth(abs, goal-1)
+	below, ties := 0, 0
+	for _, v := range w {
+		switch a := abs32(v); {
+		case a < tau:
+			below++
+		case a == tau:
+			ties++
 		}
-		all[i] = wv{i, a}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].abs < all[j].abs })
-	m := p.Mask.Data()
-	for i := 0; i < goal; i++ {
-		m[all[i].idx] = 0
-		w[all[i].idx] = 0
+	need, j := goal-below, 0
+	for i, v := range w {
+		switch a := abs32(v); {
+		case a < tau:
+			m[i], w[i] = 0, 0
+		case a == tau:
+			if (j+1)*need/ties != j*need/ties {
+				m[i], w[i] = 0, 0
+			}
+			j++
+		}
 	}
+}
+
+// abs32 is |v| with the sign bit cleared.
+func abs32(v float32) float32 {
+	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
+}
+
+// selectKth returns the k-th smallest (0-based) value of a, reordering
+// a in place. Three-way partitioning keeps it linear on the heavily
+// tied magnitudes of pruned and ternary layers.
+func selectKth(a []float32, k int) float32 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				a[gt], a[i] = v, a[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return pivot
+		}
+	}
+	return a[k]
 }
 
 // NetworkToSparsity prunes every prunable layer to the same target

@@ -116,7 +116,7 @@ func TestNetworkToSparsity(t *testing.T) {
 	if got := Sparsity(net); math.Abs(got-0.7) > 0.02 {
 		t.Fatalf("network sparsity %v, want 0.7", got)
 	}
-	// CSR views must be frozen and consistent.
+	// CSR views built from the pruned weights must be consistent.
 	for _, c := range net.Convs() {
 		if err := c.CSR().Validate(); err != nil {
 			t.Fatalf("frozen CSR invalid: %v", err)

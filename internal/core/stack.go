@@ -132,8 +132,8 @@ type Config struct {
 
 // Validate rejects inconsistent configurations.
 func (c *Config) Validate() error {
-	if _, err := models.ByName(c.Model, tensor.NewRNG(1)); err != nil {
-		return err
+	if !models.Known(c.Model) {
+		return fmt.Errorf("models: unknown network %q", c.Model)
 	}
 	if _, err := hw.ByName(c.Platform); err != nil {
 		return err

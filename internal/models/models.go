@@ -208,25 +208,61 @@ func MiniMobileNet(r *tensor.RNG) *nn.Network {
 	return mobilenetWithWidth("mini-mobilenet", 0.25, r)
 }
 
-// ByName builds a full-size network from its canonical name.
-func ByName(name string, r *tensor.RNG) (*nn.Network, error) {
-	switch name {
-	case "vgg16":
-		return VGG16(r), nil
-	case "resnet18":
-		return ResNet18(r), nil
-	case "mobilenet":
-		return MobileNet(r), nil
-	case "mini-vgg":
-		return MiniVGG(r), nil
-	case "mini-resnet":
-		return MiniResNet(r), nil
-	case "mini-mobilenet":
-		return MiniMobileNet(r), nil
-	default:
-		return nil, fmt.Errorf("models: unknown network %q", name)
-	}
+// builders is the one name→builder table: ByName builds from it, Known
+// checks names against it without building, and Names/Kinds list it.
+// Full-size models come first, in the paper's order.
+var builders = []struct {
+	name  string
+	build func(*tensor.RNG) *nn.Network
+	mini  bool
+}{
+	{"vgg16", VGG16, false},
+	{"resnet18", ResNet18, false},
+	{"mobilenet", MobileNet, false},
+	{"mini-vgg", MiniVGG, true},
+	{"mini-resnet", MiniResNet, true},
+	{"mini-mobilenet", MiniMobileNet, true},
 }
 
+// builder returns the table's constructor for name, or nil.
+func builder(name string) func(*tensor.RNG) *nn.Network {
+	for _, b := range builders {
+		if b.name == name {
+			return b.build
+		}
+	}
+	return nil
+}
+
+// ByName builds a network (full-size or mini) from its canonical name.
+func ByName(name string, r *tensor.RNG) (*nn.Network, error) {
+	build := builder(name)
+	if build == nil {
+		return nil, fmt.Errorf("models: unknown network %q", name)
+	}
+	return build(r), nil
+}
+
+// Known reports whether ByName accepts name, without building anything.
+func Known(name string) bool { return builder(name) != nil }
+
 // Names lists the full-size model names in the paper's order.
-func Names() []string { return []string{"vgg16", "resnet18", "mobilenet"} }
+func Names() []string {
+	var names []string
+	for _, b := range builders {
+		if !b.mini {
+			names = append(names, b.name)
+		}
+	}
+	return names
+}
+
+// Kinds lists every name ByName accepts: the full-size models in the
+// paper's order, then the mini training variants.
+func Kinds() []string {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		names[i] = b.name
+	}
+	return names
+}

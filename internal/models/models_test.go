@@ -1,6 +1,7 @@
 package models
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -163,5 +164,34 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("alexnet", tensor.NewRNG(1)); err == nil {
 		t.Fatal("unknown model must return an error")
+	}
+}
+
+// TestKnownAgreesWithByName: the one name table answers both questions
+// the same way, for every name it lists and for one it does not.
+func TestKnownAgreesWithByName(t *testing.T) {
+	for _, name := range append(Kinds(), "alexnet", "", "VGG16") {
+		t.Run(name, func(t *testing.T) {
+			if !Known(name) {
+				if _, err := ByName(name, nil); err == nil || err.Error() != `models: unknown network "`+name+`"` {
+					t.Fatalf("Known(%q) = false but ByName error = %v", name, err)
+				}
+				return
+			}
+			net, err := ByName(name, nil)
+			if err != nil || net == nil {
+				t.Fatalf("Known(%q) = true but ByName = %v, %v", name, net, err)
+			}
+		})
+	}
+	want := []string{"vgg16", "resnet18", "mobilenet", "mini-vgg", "mini-resnet", "mini-mobilenet"}
+	if got := Kinds(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Kinds() = %v, want %v", got, want)
+	}
+	if got := Names(); strings.Join(got, ",") != strings.Join(want[:3], ",") {
+		t.Fatalf("Names() = %v, want the full-size models %v", got, want[:3])
+	}
+	if Known("alexnet") {
+		t.Fatal(`Known("alexnet") = true`)
 	}
 }

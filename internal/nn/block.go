@@ -65,7 +65,8 @@ func (b *ResidualBlock) Params() []*Param {
 }
 
 // Inner returns the block's convolution layers (used by the engine to
-// freeze CSR views and by the pruning code to find prunable layers).
+// drop cached weight views and by the pruning code to find prunable
+// layers).
 func (b *ResidualBlock) Inner() []*Conv2D {
 	convs := []*Conv2D{b.Conv1, b.Conv2}
 	if b.SkipConv != nil {

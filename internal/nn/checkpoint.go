@@ -164,13 +164,9 @@ func (n *Network) LoadWeights(r io.Reader) error {
 			}
 		}
 	}
-	// Any frozen CSR views are now stale.
-	for _, c := range n.Convs() {
-		c.Invalidate()
-	}
-	for _, l := range n.Linears() {
-		l.Invalidate()
-	}
+	// Every cached weight view, and any plan compiled over one, is now
+	// stale.
+	n.Freeze()
 	return nil
 }
 

@@ -19,23 +19,21 @@ import (
 //   - SparseDirect: direct convolution over CSR-stored filters, used for
 //     weight-pruned and ternary-quantised models.
 //
-// Weights are stored dense in W (OutC, InC/Groups, KH, KW); the CSR view
-// is built lazily by Freeze and invalidated by any training step.
+// Weights are stored dense in W (OutC, InC/Groups, KH, KW); the CSR and
+// reduced-precision views are built lazily on first use and invalidated
+// by any training step or Network.Freeze.
 type Conv2D struct {
 	LayerName string
 	Geom      sparse.ConvParams
 	W         *Param
 	B         *Param
 
-	// csr caches the CSR view of the flattened filters for the
-	// SparseDirect path; nil until Freeze is called.
-	csr *sparse.CSR
-
-	// qw and wf16 cache the reduced-precision views of the flattened
-	// filters for the QuantInt8/QuantF16 paths; like csr they are built
-	// lazily and dropped by Invalidate.
-	qw   *blas.QMatrix
-	wf16 *blas.F16Matrix
+	// csr, qw and wf16 cache the CSR, int8 and binary16 views of the
+	// flattened filters for the SparseDirect, QuantInt8 and QuantF16
+	// paths. Each is built on first use and dropped by Invalidate.
+	csr  view[sparse.CSR]
+	qw   view[blas.QMatrix]
+	wf16 view[blas.F16Matrix]
 
 	// FisherRecord enables Fisher-information accumulation for channel
 	// pruning: during training the forward output is cached and every
@@ -79,51 +77,52 @@ func (c *Conv2D) Name() string { return c.LayerName }
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// Freeze builds (or rebuilds) the CSR view of the current weights so the
-// SparseDirect path can run without per-inference conversion cost. Call
-// it once after compression/fine-tuning completes.
-func (c *Conv2D) Freeze() *sparse.CSR {
-	cpg := c.Geom.InC / c.Geom.Groups
-	flat := c.W.W.Reshape(c.Geom.OutC, cpg*c.Geom.KH*c.Geom.KW)
-	c.csr = sparse.FromDense(flat)
-	return c.csr
+// flatShape is the shape of the filter bank flattened to one row per
+// output channel.
+func (c *Conv2D) flatShape() (rows, cols int) {
+	return c.Geom.OutC, c.Geom.InC / c.Geom.Groups * c.Geom.KH * c.Geom.KW
 }
 
-// CSR returns the frozen sparse view, building it on first use.
-func (c *Conv2D) CSR() *sparse.CSR {
-	if c.csr == nil {
-		return c.Freeze()
-	}
-	return c.csr
+// Freeze drops the layer's cached views and returns a freshly built CSR
+// view of the current weights.
+func (c *Conv2D) Freeze() *sparse.CSR {
+	c.Invalidate()
+	return c.CSR()
 }
+
+// CSR returns the sparse view of the flattened filters, building it on
+// first use.
+func (c *Conv2D) CSR() *sparse.CSR { return c.csr.get(c.buildCSR) }
 
 // QWeights returns the int8 per-output-channel-scaled view of the
 // flattened filters, building it on first use. Rows are output
 // channels, so per-group and per-row-block addressing is RowView.
-func (c *Conv2D) QWeights() *blas.QMatrix {
-	if c.qw == nil {
-		cpg := c.Geom.InC / c.Geom.Groups
-		c.qw = blas.QuantizeRowsInt8(c.W.W.Data(), c.Geom.OutC, cpg*c.Geom.KH*c.Geom.KW)
-	}
-	return c.qw
-}
+func (c *Conv2D) QWeights() *blas.QMatrix { return c.qw.get(c.buildQWeights) }
 
 // F16Weights returns the binary16 view of the flattened filters,
 // building it on first use.
-func (c *Conv2D) F16Weights() *blas.F16Matrix {
-	if c.wf16 == nil {
-		cpg := c.Geom.InC / c.Geom.Groups
-		c.wf16 = blas.QuantizeRowsF16(c.W.W.Data(), c.Geom.OutC, cpg*c.Geom.KH*c.Geom.KW)
-	}
-	return c.wf16
+func (c *Conv2D) F16Weights() *blas.F16Matrix { return c.wf16.get(c.buildF16Weights) }
+
+func (c *Conv2D) buildCSR() *sparse.CSR {
+	return sparse.FromDense(c.W.W.Reshape(c.flatShape()))
+}
+
+func (c *Conv2D) buildQWeights() *blas.QMatrix {
+	rows, cols := c.flatShape()
+	return blas.QuantizeRowsInt8(c.W.W.Data(), rows, cols)
+}
+
+func (c *Conv2D) buildF16Weights() *blas.F16Matrix {
+	rows, cols := c.flatShape()
+	return blas.QuantizeRowsF16(c.W.W.Data(), rows, cols)
 }
 
 // Invalidate drops the CSR and reduced-precision caches; training steps
 // call this via the optimiser so stale views are never executed.
 func (c *Conv2D) Invalidate() {
-	c.csr = nil
-	c.qw = nil
-	c.wf16 = nil
+	c.csr.drop()
+	c.qw.drop()
+	c.wf16.drop()
 }
 
 // OutShape returns the NCHW output shape for the given input shape.

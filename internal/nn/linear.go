@@ -18,8 +18,10 @@ type Linear struct {
 	W         *Param // (Out, In)
 	B         *Param // (Out)
 
-	csr    *sparse.CSR
-	qw     *blas.QMatrix  // int8 view for QuantInt8, built lazily
+	// csr and qw cache the CSR and int8 views of W, built on first use
+	// and dropped by Invalidate.
+	csr    view[sparse.CSR]
+	qw     view[blas.QMatrix]
 	lastIn *tensor.Tensor // flattened (N, In)
 }
 
@@ -45,33 +47,23 @@ func (l *Linear) Name() string { return l.LayerName }
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Freeze builds the CSR view for sparse execution.
-func (l *Linear) Freeze() *sparse.CSR {
-	l.csr = sparse.FromDense(l.W.W)
-	return l.csr
-}
-
-// CSR returns the frozen sparse view, building it on first use.
-func (l *Linear) CSR() *sparse.CSR {
-	if l.csr == nil {
-		return l.Freeze()
-	}
-	return l.csr
-}
+// CSR returns the sparse view of W, building it on first use.
+func (l *Linear) CSR() *sparse.CSR { return l.csr.get(l.buildCSR) }
 
 // QWeights returns the int8 per-output-neuron-scaled weight view,
 // building it on first use.
-func (l *Linear) QWeights() *blas.QMatrix {
-	if l.qw == nil {
-		l.qw = blas.QuantizeRowsInt8(l.W.W.Data(), l.Out, l.In)
-	}
-	return l.qw
+func (l *Linear) QWeights() *blas.QMatrix { return l.qw.get(l.buildQWeights) }
+
+func (l *Linear) buildCSR() *sparse.CSR { return sparse.FromDense(l.W.W) }
+
+func (l *Linear) buildQWeights() *blas.QMatrix {
+	return blas.QuantizeRowsInt8(l.W.W.Data(), l.Out, l.In)
 }
 
 // Invalidate drops the CSR and int8 caches.
 func (l *Linear) Invalidate() {
-	l.csr = nil
-	l.qw = nil
+	l.csr.drop()
+	l.qw.drop()
 }
 
 func (l *Linear) flatten(in *tensor.Tensor) *tensor.Tensor {

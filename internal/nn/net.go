@@ -102,16 +102,18 @@ func (n *Network) Linears() []*Linear {
 	return ls
 }
 
-// Freeze builds CSR views for every conv and linear layer so sparse
-// execution pays no conversion cost at inference time. Re-freezing
-// replaces the CSR objects, so it counts as a structural mutation:
-// compiled plans that captured the old views are stale afterwards.
+// Freeze marks the end of a weight change (pruning, quantisation,
+// loading): it drops every layer's cached CSR, int8 and binary16 views
+// and counts as a structural mutation, so compiled plans that captured
+// the old views are stale afterwards. It builds nothing — each view is
+// rebuilt from the current weights on first use, and nn.Compile forces
+// the views a plan needs — so a dense model never pays for a CSR copy.
 func (n *Network) Freeze() {
 	for _, c := range n.Convs() {
-		c.Freeze()
+		c.Invalidate()
 	}
 	for _, l := range n.Linears() {
-		l.Freeze()
+		l.Invalidate()
 	}
 	n.MarkMutated()
 }

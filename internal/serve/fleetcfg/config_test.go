@@ -310,3 +310,16 @@ func TestModeDerivation(t *testing.T) {
 		t.Fatalf("cluster config mode = %v", m)
 	}
 }
+
+// TestUnknownModelKindMessage pins the unknown-kind message, whose
+// list of known kinds comes from the models package's name table.
+func TestUnknownModelKindMessage(t *testing.T) {
+	c := baseLocal()
+	c.Models[1].Kind = "alexnet"
+	err := c.Validate()
+	want := `unknown model kind "alexnet" (known: [vgg16 resnet18 mobilenet mini-vgg mini-resnet mini-mobilenet])`
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Msg != want {
+		t.Fatalf("Validate() = %v, want message %q", err, want)
+	}
+}

@@ -82,26 +82,6 @@ func ParseTechnique(s string) (core.Technique, error) {
 	}
 }
 
-// ModelKinds lists every network a fleet file may declare: the
-// full-size models plus the mini training variants (which
-// models.ByName hosts but Names does not list).
-func ModelKinds() []string {
-	return append(models.Names(), "mini-vgg", "mini-resnet", "mini-mobilenet")
-}
-
-// knownKind reports whether kind names a buildable network, without
-// building it — Validate must stay cheap enough to run on every boot
-// and every CI fixture, and instantiating a full-size VGG just to
-// check a name is neither.
-func knownKind(kind string) bool {
-	for _, k := range ModelKinds() {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // routingName is the effective pool routing name of a model
 // declaration: Name when set, "<kind>/<technique>" otherwise (the
 // same default serve.StackSpec.Key derives).
@@ -291,8 +271,8 @@ func (c *Config) validateModels() error {
 		if m.Kind == "" {
 			return errf(path+".kind", "required")
 		}
-		if !knownKind(m.Kind) {
-			return errf(path+".kind", "unknown model kind %q (known: %v)", m.Kind, ModelKinds())
+		if !models.Known(m.Kind) {
+			return errf(path+".kind", "unknown model kind %q (known: %v)", m.Kind, models.Kinds())
 		}
 		tech, err := ParseTechnique(m.Technique)
 		if err != nil {
