@@ -73,7 +73,7 @@ func defineFlags(fs *flag.FlagSet) *flagValues {
 	fs.StringVar(&v.tenants, "tenants", "", "synthetic tenant mix N[:w1,...,wN]: split clients and requests across tenants t0..tN-1 proportionally to weight; hosting modes register the same tenants with matching fair-share weights")
 	fs.StringVar(&v.listen, "listen", "", "serve the configured stacks over HTTP on this address (e.g. :8080) instead of running the load generator")
 	fs.StringVar(&v.muxListen, "muxlisten", "", "serve the configured stacks over the DLW2 multiplexed session protocol on this address (e.g. :8091); combines with -listen for a dual-protocol server")
-	fs.StringVar(&v.connect, "connect", "", "drive a remote dlis server at this address instead of building one in-process; dlw2://host:port pins the mux transport, http://host:port pins HTTP, a bare host:port prefers mux with HTTP fallback")
+	fs.StringVar(&v.connect, "connect", "", "drive a remote dlis server at this address instead of building one in-process; dlw2://host:port is the mux transport; http://, https:// or a bare host:port is HTTP")
 	fs.StringVar(&v.cluster, "cluster", "", "comma-separated dlis backend addresses (scheme rules as -connect); run the load generator over the fleet through one cluster client")
 	fs.IntVar(&v.pipeline, "pipeline", 0, "streaming-session load mode: keep this many requests in flight per target over one pipelined session instead of -clients closed loops")
 	fs.StringVar(&v.tunerCache, "tunercache", "", "directory for the persistent algorithm-tuner cache; warm starts load timed per-geometry kernel verdicts instead of re-timing them")

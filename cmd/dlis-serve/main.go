@@ -43,9 +43,8 @@
 // remote routing targets (pools or endpoints — discovered via the
 // models call, which also supplies the input geometry), and the report
 // is built from the remote statistics. The connect string picks the
-// transport: dlw2://host:port pins DLW2, http://host:port pins HTTP,
-// and a bare host:port probes for DLW2 with HTTP fallback. With
-// -cluster the load generator fronts
+// transport: dlw2://host:port is DLW2; http://, https:// or a bare
+// host:port is HTTP. With -cluster the load generator fronts
 // a whole fleet of -listen backends through one dlis.Cluster client:
 // placement is least-loaded power-of-two-choices over the healthy
 // members, a backend dying mid-run fails over to the survivors, and
@@ -149,12 +148,12 @@ func main() {
 	case dlis.FleetModeConnect:
 		// Remote mode: no server, no baseline — the wire supplies
 		// discovery, geometry and the final statistics. DialBackend
-		// picks the transport from the connect string's scheme.
+		// picks the transport from the connect string alone.
 		runRemote(dlis.DialBackend(rcfg.Load.Connect), gen)
 		return
 	case dlis.FleetModeCluster:
 		// Cluster mode: the same load generator, pointed at a fleet of
-		// HTTP backends through one cluster client.
+		// backends through one cluster client.
 		runCluster(rcfg, gen)
 		return
 	}
@@ -357,7 +356,7 @@ func runRemote(client dlis.Client, gen loadGen) {
 	report(st, gen, 0, nil, errCount)
 }
 
-// runCluster drives a fleet of dlis HTTP backends through one cluster
+// runCluster drives a fleet of dlis backends through one cluster
 // client: every address becomes a member, discovery waits until the
 // fleet advertises every target (backends launched alongside the load
 // generator get a grace period), the shared load loop runs against the
@@ -368,11 +367,11 @@ func runRemote(client dlis.Client, gen loadGen) {
 func runCluster(rcfg *dlis.FleetConfig, gen loadGen) {
 	var members []dlis.ClusterMember
 	for _, a := range rcfg.Cluster.Members {
-		// DialBackend honours each member's scheme prefix: dlw2:// pins
-		// the mux transport, http:// pins HTTP, bare addresses probe.
+		// DialBackend picks each member's transport from its address:
+		// dlw2:// is DLW2, anything else (bare included) is HTTP.
 		members = append(members, dlis.ClusterMember{Name: a, Client: dlis.DialBackend(a)})
 	}
-	cl, err := dlis.NewClusterWithConfig(rcfg.ClusterConfig(), members...)
+	cl, err := dlis.NewCluster(members, dlis.WithProbeInterval(time.Duration(rcfg.Cluster.ProbeInterval)))
 	if err != nil {
 		fatal(err)
 	}
@@ -705,12 +704,8 @@ func report(st dlis.ServerStats, gen loadGen, batch int, baseline map[string]flo
 				}
 				// measured is this host's warmed batch-1 plan time — the
 				// router's actual rank; modelled is the paper platform.
-				measured := "n/a"
-				if v.MeasuredSeconds > 0 {
-					measured = fmt.Sprintf("%.2fms", v.MeasuredSeconds*1000)
-				}
-				fmt.Fprintf(tw, "%s\t%s\t%.3fs\t%s\t%d\t%d\t%.2f req/s\t%v\t%v\t%.2f\t%.1f MB\n",
-					v.Name, acc, v.ModelledSeconds, measured, v.Routed, v.Shed,
+				fmt.Fprintf(tw, "%s\t%s\t%.3fs\t%.2fms\t%d\t%d\t%.2f req/s\t%v\t%v\t%.2f\t%.1f MB\n",
+					v.Name, acc, v.ModelledSeconds, v.MeasuredSeconds*1000, v.Routed, v.Shed,
 					v.Pool.Throughput,
 					v.Pool.Latency.P50.Round(time.Microsecond), v.Pool.Latency.P99.Round(time.Microsecond),
 					v.Pool.MeanBatchOccupancy, v.Pool.ReplicaMemoryMB)

@@ -29,6 +29,7 @@ package dlis
 
 import (
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/blas"
@@ -203,7 +204,7 @@ type (
 	OverloadedError = serve.OverloadedError
 )
 
-// ErrServerClosed is returned by Submit and Infer after Close.
+// ErrServerClosed is returned by every submission after Close.
 var ErrServerClosed = serve.ErrClosed
 
 // ErrServerOverloaded is the errors.Is sentinel for admission
@@ -220,7 +221,8 @@ var ErrNoVariant = serve.ErrNoVariant
 // NewEndpoint builds an SLO-routed endpoint spec over base.Model: one
 // variant per technique at its Table III (Pareto-elbow) operating
 // point, accuracies from the calibrated Fig. 3 curves. Host it via
-// ServerConfig.Endpoints and submit with Server.Route / RouteInfer.
+// ServerConfig.Endpoints and submit a Request naming it through any
+// Client.
 func NewEndpoint(name string, base StackConfig, techs ...Technique) ServerEndpoint {
 	return serve.Endpoint(name, base, techs...)
 }
@@ -255,8 +257,8 @@ func DefaultServerConfig() ServerConfig { return serve.DefaultConfig() }
 // through a Client.
 type (
 	// Client is the transport-agnostic serving API: Infer/InferSync
-	// with a Request, InferBatch for multi-image convenience, plus
-	// Stats, Models, Session and Close.
+	// with a Request (one or more images), plus Stats, Models, Session
+	// and Close.
 	Client = serve.Client
 	// Request is one inference request: Target (pool or endpoint
 	// routing name), Images (one or more C×H×W inputs) and an optional
@@ -348,13 +350,17 @@ func NewMuxListener(srv *Server, cfg MuxListenerConfig) *MuxListener {
 	return muxwire.NewListener(srv, cfg)
 }
 
-// DialBackend builds the Client for a backend connect string:
-// "dlw2://host:port" forces the mux transport, "http://…" forces HTTP,
-// and a bare "host:port" prefers mux with automatic HTTP fallback (the
-// first call probes the port with a DLW2 hello). This is the dial used
-// by cmd/dlis-serve for -connect and cluster members.
+// DialBackend builds the Client for a backend connect string, choosing
+// the transport from the address alone: "dlw2://host:port" is a
+// MuxClient, and "http://…", "https://…" or a bare "host:port" is an
+// HTTPClient (a bare address gets the http scheme). No call probes the
+// port. This is the dial cmd/dlis-serve uses for -connect and for
+// cluster members.
 func DialBackend(addr string, opts ...ClientOption) Client {
-	return muxwire.Dial(addr, opts...)
+	if strings.HasPrefix(addr, DLW2Scheme+"://") {
+		return muxwire.NewClient(addr, opts...)
+	}
+	return httpapi.NewClient(addr, opts...)
 }
 
 // ErrUnknownTarget is the errors.Is sentinel for requests naming a
@@ -429,9 +435,6 @@ type (
 	Cluster = cluster.Cluster
 	// ClusterMember couples one backend Client with its reporting name.
 	ClusterMember = cluster.Member
-	// ClusterConfig tunes health probing (interval, timeout, ejection
-	// backoff); the zero value uses the defaults.
-	ClusterConfig = cluster.Config
 	// ClusterStats is the fleet snapshot Cluster.Snapshot returns:
 	// per-member health, served/shed/failed traffic and ejections, plus
 	// cluster-level retry and failover counters.
@@ -460,13 +463,6 @@ func WithEjectionBackoff(base, max time.Duration) ClusterOption {
 // options tail.
 func NewCluster(members []ClusterMember, opts ...ClusterOption) (*Cluster, error) {
 	return cluster.NewWithOptions(members, opts...)
-}
-
-// NewClusterWithConfig is the config-struct spelling of NewCluster,
-// kept for callers that already hold a ClusterConfig (e.g. one resolved
-// from a fleet file).
-func NewClusterWithConfig(cfg ClusterConfig, members ...ClusterMember) (*Cluster, error) {
-	return cluster.New(cfg, members...)
 }
 
 // Declarative fleet configuration (see internal/serve/fleetcfg and

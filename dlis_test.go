@@ -438,7 +438,7 @@ func TestClientPublicAPI(t *testing.T) {
 	// ErrNoVariant — across the wire too.
 	for _, m := range lm {
 		if m.Kind == "stack" {
-			if _, err := remote.InferBatch(ctx, m.Name, []*Tensor{img}); err != nil {
+			if _, err := remote.InferSync(ctx, Request{Target: m.Name, Images: []*Tensor{img}}); err != nil {
 				t.Fatalf("warming %s: %v", m.Name, err)
 			}
 		}
@@ -477,10 +477,10 @@ func TestClusterPublicAPI(t *testing.T) {
 		}
 		return srv
 	}
-	cl, err := NewClusterWithConfig(ClusterConfig{ProbeInterval: 50 * time.Millisecond},
-		ClusterMember{Name: "a", Client: NewLocalClient(newServer())},
-		ClusterMember{Name: "b", Client: NewLocalClient(newServer())},
-	)
+	cl, err := NewCluster([]ClusterMember{
+		{Name: "a", Client: NewLocalClient(newServer())},
+		{Name: "b", Client: NewLocalClient(newServer())},
+	}, WithProbeInterval(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,20 +488,6 @@ func TestClusterPublicAPI(t *testing.T) {
 
 	ctx := context.Background()
 
-	// The redesigned constructor: a member slice plus functional
-	// options, with NewClusterWithConfig (above) kept as the legacy
-	// config-struct wrapper.
-	cl2, err := NewCluster([]ClusterMember{{Name: "c", Client: NewLocalClient(newServer())}},
-		WithProbeInterval(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms, err := cl2.Models(ctx); err != nil || len(ms) != 1 {
-		t.Fatalf("option-built cluster models = %+v, %v", ms, err)
-	}
-	if err := cl2.Close(); err != nil {
-		t.Fatal(err)
-	}
 	ms, err := cl.Models(ctx)
 	if err != nil || len(ms) != 1 || ms[0].Name != "m" {
 		t.Fatalf("cluster models = %+v, %v", ms, err)
@@ -537,6 +523,76 @@ func TestClusterPublicAPI(t *testing.T) {
 	}
 	if _, err := cl.InferSync(ctx, Request{Target: "m", Images: []*Tensor{NewImage(1, 32, 32, 1)}}); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("closed cluster: err = %v, want ErrServerClosed", err)
+	}
+}
+
+// TestDialBackendPicksTransportFromAddress pins the one transport
+// switch: dlw2:// is the mux client, and http://, https:// or a bare
+// host:port is the HTTP client. Nothing is dialed to decide.
+func TestDialBackendPicksTransportFromAddress(t *testing.T) {
+	for _, tc := range []struct {
+		addr string
+		mux  bool
+	}{
+		{"dlw2://127.0.0.1:18091", true},
+		{"http://127.0.0.1:18080", false},
+		{"https://127.0.0.1:18443", false},
+		{"127.0.0.1:18080", false},
+		{"backend:18080", false},
+	} {
+		c := DialBackend(tc.addr)
+		switch c.(type) {
+		case *MuxClient:
+			if !tc.mux {
+				t.Errorf("DialBackend(%q) = *MuxClient, want *HTTPClient", tc.addr)
+			}
+		case *HTTPClient:
+			if tc.mux {
+				t.Errorf("DialBackend(%q) = *HTTPClient, want *MuxClient", tc.addr)
+			}
+		default:
+			t.Errorf("DialBackend(%q) = %T", tc.addr, c)
+		}
+		c.Close()
+	}
+}
+
+// TestClusterBareMemberHealthyAtBoot regresses a slow, ejected boot: a
+// bare member address naming an HTTP listener is healthy as soon as
+// NewCluster returns, because the boot probe goes straight to HTTP
+// instead of first waiting out an unanswered DLW2 hello.
+func TestClusterBareMemberHealthyAtBoot(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.Stacks = []ServerStack{{Name: "m", Stack: StackConfig{
+		Model: "mini-mobilenet", Technique: Plain,
+		Backend: OMP, Threads: 1, Platform: "odroid-xu4", Seed: 1,
+	}}}
+	cfg.Replicas, cfg.MaxBatch, cfg.MaxDelay = 1, 2, time.Millisecond
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(NewHTTPHandler(srv, 0))
+	defer ts.Close()
+	addr := ts.Listener.Addr().String() // bare host:port, no scheme
+	// A negative interval stops the background prober, so the health
+	// read below is the boot probe's verdict alone.
+	cl, err := NewCluster([]ClusterMember{{Name: addr, Client: DialBackend(addr)}},
+		WithProbeInterval(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if m := cl.Snapshot().Members[0]; !m.Healthy {
+		t.Fatalf("bare HTTP member %s not healthy after NewCluster: %+v", addr, m)
+	}
+	resp, err := cl.InferSync(context.Background(), Request{Target: "m", Images: []*Tensor{NewImage(1, 32, 32, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := resp.First(); res.Stack != "m" {
+		t.Fatalf("response metadata: %+v", res)
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"syscall"
+
+	"repro/internal/statefile"
 )
 
 // TunerCache makes AlgoTuner verdicts durable across process starts: a
@@ -67,21 +68,19 @@ func OpenTunerCache(dir string) (*TunerCache, error) {
 		procs:   runtime.GOMAXPROCS(0),
 		entries: map[string]string{},
 	}
-	if f, ok := c.readFile(); ok {
+	data, _ := os.ReadFile(c.path)
+	if f, ok := c.decode(data); ok {
 		c.entries = f.Entries
 		c.loaded = len(f.Entries)
 	}
 	return c, nil
 }
 
-// readFile loads the on-disk file if it is valid for this process'
-// provenance; any defect reads as "no cache".
-func (c *TunerCache) readFile() (tunerCacheFile, bool) {
+// decode parses cache file contents if they are valid for this
+// process' provenance; any defect (none read, corrupt, foreign) reads
+// as "no cache".
+func (c *TunerCache) decode(data []byte) (tunerCacheFile, bool) {
 	var f tunerCacheFile
-	data, err := os.ReadFile(c.path)
-	if err != nil {
-		return f, false
-	}
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, false
 	}
@@ -124,61 +123,37 @@ func (c *TunerCache) Loaded() int { return c.loaded }
 // Path returns the cache file path.
 func (c *TunerCache) Path() string { return c.path }
 
-// Save persists the cache atomically (write-to-temp + rename in the
-// same directory) and reports whether it wrote. A clean cache is a
-// no-op, so warm starts leave the file's mtime alone. Before writing it
-// re-reads and merges the current on-disk entries (ours win), so
-// concurrent processes sharing a cache directory converge instead of
-// torching each other's verdicts; the rename keeps every reader seeing
-// a complete file. An exclusive flock on the cache directory spans the
-// read→merge→rename, so savers in other processes (or other caches on
-// the same directory) cannot interleave and drop each other's entries.
+// Save persists the cache and reports whether it wrote. A clean cache
+// is a no-op, so warm starts leave the file's mtime alone. The write
+// goes through statefile.Update: under its directory lock it re-reads
+// and merges the current on-disk entries (ours win), so concurrent
+// processes sharing a cache directory converge instead of dropping
+// each other's verdicts, and the rename keeps every reader seeing a
+// complete file.
 func (c *TunerCache) Save() (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.dirty {
 		return false, nil
 	}
-	dir, err := os.Open(filepath.Dir(c.path))
-	if err != nil {
-		return false, fmt.Errorf("blas: tuner cache dir: %w", err)
-	}
-	defer dir.Close()
-	if err := syscall.Flock(int(dir.Fd()), syscall.LOCK_EX); err != nil {
-		return false, fmt.Errorf("blas: tuner cache lock: %w", err)
-	}
-	if f, ok := c.readFile(); ok {
-		for k, v := range f.Entries {
-			if _, mine := c.entries[k]; !mine {
-				c.entries[k] = v
+	err := statefile.Update(c.path, func(current []byte) ([]byte, error) {
+		if f, ok := c.decode(current); ok {
+			for k, v := range f.Entries {
+				if _, mine := c.entries[k]; !mine {
+					c.entries[k] = v
+				}
 			}
 		}
-	}
-	data, err := json.MarshalIndent(tunerCacheFile{
-		Version:    tunerCacheVersion,
-		Host:       c.host,
-		GOMAXPROCS: c.procs,
-		Entries:    c.entries,
-	}, "", "  ")
+		data, err := json.MarshalIndent(tunerCacheFile{
+			Version:    tunerCacheVersion,
+			Host:       c.host,
+			GOMAXPROCS: c.procs,
+			Entries:    c.entries,
+		}, "", "  ")
+		return append(data, '\n'), err
+	})
 	if err != nil {
-		return false, fmt.Errorf("blas: tuner cache encode: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), tunerCacheFileName+".tmp-*")
-	if err != nil {
-		return false, fmt.Errorf("blas: tuner cache temp file: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("blas: tuner cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("blas: tuner cache close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("blas: tuner cache rename: %w", err)
+		return false, fmt.Errorf("blas: tuner cache save: %w", err)
 	}
 	c.dirty = false
 	return true, nil

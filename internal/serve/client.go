@@ -170,9 +170,11 @@ type ServerStats struct {
 }
 
 // Client is the transport-agnostic serving API: the same interface is
-// satisfied in-process (LocalClient) and over HTTP (httpapi.Client),
-// so callers — including the dlis-serve load generator — are written
-// once and pointed at either.
+// satisfied in-process (LocalClient), over HTTP (httpapi.Client), over
+// DLW2 (muxwire.Client) and by a fleet (cluster.Cluster), so callers —
+// including the dlis-serve load generator — are written once and
+// pointed at any of them. A multi-image request is one Request with
+// several Images.
 type Client interface {
 	// Infer submits one Request and returns immediately with its
 	// pending Response. Submit-time errors (unknown target, shape
@@ -181,9 +183,6 @@ type Client interface {
 	Infer(ctx context.Context, req Request) (*ResponseFuture, error)
 	// InferSync is Infer followed by Wait on the same ctx.
 	InferSync(ctx context.Context, req Request) (*Response, error)
-	// InferBatch is the multi-image convenience: one direct (zero-SLO)
-	// request carrying imgs, answered synchronously.
-	InferBatch(ctx context.Context, target string, imgs []*tensor.Tensor) (*Response, error)
 	// Stats snapshots the server's serving statistics.
 	Stats(ctx context.Context) (ServerStats, error)
 	// Models lists the hosted routing targets.
@@ -198,11 +197,10 @@ type Client interface {
 	Close() error
 }
 
-// Do is the unified submission path behind every Client: it resolves
-// the target, applies SLO routing or direct enqueueing, and fans a
+// Do is the one submission path behind every Client: it resolves the
+// target, applies SLO routing or direct enqueueing, and fans a
 // multi-image request out to per-image futures coalescing in the
-// batcher. The legacy Submit/Infer/Route/RouteInfer methods are shims
-// over this.
+// batcher.
 func (s *Server) Do(ctx context.Context, req Request) (*ResponseFuture, error) {
 	futs, err := s.submitRequest(ctx, req)
 	if err != nil {
@@ -350,11 +348,6 @@ func (c *LocalClient) InferSync(ctx context.Context, req Request) (*Response, er
 		return nil, err
 	}
 	return rf.Wait(ctx)
-}
-
-// InferBatch answers one direct multi-image request synchronously.
-func (c *LocalClient) InferBatch(ctx context.Context, target string, imgs []*tensor.Tensor) (*Response, error) {
-	return c.InferSync(ctx, Request{Target: target, Images: imgs})
 }
 
 // Stats snapshots the wrapped server.

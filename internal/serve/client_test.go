@@ -13,7 +13,7 @@ import (
 
 // TestClientInferBatchCoalesces proves the multi-image request path is
 // one enqueue burst: with a batching window far beyond the test and
-// MaxBatch equal to the image count, all images of one InferBatch must
+// MaxBatch equal to the image count, all images of one request must
 // ride a single forward pass — and come back in request order with the
 // logits a solo instance produces for each.
 func TestClientInferBatchCoalesces(t *testing.T) {
@@ -32,7 +32,7 @@ func TestClientInferBatchCoalesces(t *testing.T) {
 	for i := range imgs {
 		imgs[i] = testImage(uint64(200 + i))
 	}
-	resp, err := c.InferBatch(context.Background(), "m", imgs)
+	resp, err := c.InferSync(context.Background(), Request{Target: "m", Images: imgs})
 	if err != nil {
 		t.Fatal(err)
 	}

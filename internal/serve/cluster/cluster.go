@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 // Member couples one backend Client with the name cluster statistics
@@ -462,13 +461,6 @@ func (c *Cluster) Infer(ctx context.Context, req serve.Request) (*serve.Response
 // InferSync places the request and waits for its Response.
 func (c *Cluster) InferSync(ctx context.Context, req serve.Request) (*serve.Response, error) {
 	return c.do(ctx, req)
-}
-
-// InferBatch answers one direct multi-image request synchronously. The
-// whole group is placed on one member (and, downstream, one variant)
-// so its images coalesce in a single batcher.
-func (c *Cluster) InferBatch(ctx context.Context, target string, imgs []*tensor.Tensor) (*serve.Response, error) {
-	return c.do(ctx, serve.Request{Target: target, Images: imgs})
 }
 
 // Models lists the union of every member's advertised routing targets,

@@ -71,10 +71,6 @@ func (f *fakeBackend) InferSync(ctx context.Context, req serve.Request) (*serve.
 	return &serve.Response{Results: results}, nil
 }
 
-func (f *fakeBackend) InferBatch(ctx context.Context, target string, imgs []*tensor.Tensor) (*serve.Response, error) {
-	return f.InferSync(ctx, serve.Request{Target: target, Images: imgs})
-}
-
 func (f *fakeBackend) Stats(ctx context.Context) (serve.ServerStats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

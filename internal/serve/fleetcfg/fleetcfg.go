@@ -137,10 +137,9 @@ type Server struct {
 
 // Cluster configures a fleet-fronting load generator.
 type Cluster struct {
-	// Members lists the backend addresses. A bare "host:port" prefers
-	// the DLW2 mux transport with automatic HTTP fallback; a
-	// "dlw2://host:port" or "http://host:port" prefix pins the
-	// transport.
+	// Members lists the backend addresses. The address picks the
+	// transport: "dlw2://host:port" is the DLW2 mux transport;
+	// "http://…", "https://…" or a bare "host:port" is HTTP.
 	Members []string `json:"members"`
 	// ProbeInterval is the health-prober cadence; 0 resolves to the
 	// cluster tier's default (250ms).
@@ -263,9 +262,9 @@ type TenantDef struct {
 // Load configures the closed-loop load generator.
 type Load struct {
 	// Connect drives a remote dlis server at this address instead of
-	// building one in-process. A bare "host:port" prefers the DLW2 mux
-	// transport with automatic HTTP fallback; a "dlw2://" or "http://"
-	// prefix pins the transport.
+	// building one in-process. The address picks the transport:
+	// "dlw2://host:port" is DLW2; "http://…", "https://…" or a bare
+	// "host:port" is HTTP.
 	Connect string `json:"connect,omitempty"`
 	// Targets are the routing names to drive. Empty resolves to every
 	// hosted pool and endpoint (local mode); remote modes (Connect,

@@ -1,8 +1,6 @@
 package fleetcfg
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/pareto"
 	"repro/internal/serve"
@@ -211,13 +209,4 @@ func (c *Config) defaultTargets() []string {
 		targets = append(targets, c.Endpoints[i].Name)
 	}
 	return targets
-}
-
-// ClusterConfig lowers the cluster section to the cluster tier's
-// config; zero (all defaults) when the section is absent.
-func (c *Config) ClusterConfig() cluster.Config {
-	if c.Cluster == nil {
-		return cluster.Config{}
-	}
-	return cluster.Config{ProbeInterval: time.Duration(c.Cluster.ProbeInterval)}
 }

@@ -117,9 +117,9 @@ func (c *Config) effectiveBatch() int {
 }
 
 // checkConnectAddr validates a backend connect string: an optional
-// transport scheme ("dlw2://" or "http://" / "https://") followed by a
-// host:port with an explicit host. Any other scheme is rejected by
-// name rather than as a malformed host:port.
+// transport scheme ("dlw2://" or "http://" / "https://"; none means
+// HTTP) followed by a host:port with an explicit host. Any other
+// scheme is rejected by name rather than as a malformed host:port.
 func checkConnectAddr(addr string) error {
 	rest := addr
 	if i := strings.Index(addr, "://"); i >= 0 {
@@ -127,7 +127,7 @@ func checkConnectAddr(addr string) error {
 		case "dlw2", "http", "https":
 			rest = addr[i+3:]
 		default:
-			return fmt.Errorf("unknown scheme %q in %q (want dlw2, http or https, or a bare host:port)", scheme, addr)
+			return fmt.Errorf("unknown scheme %q in %q (want dlw2, http or https, or a bare host:port (HTTP))", scheme, addr)
 		}
 	}
 	return checkHostPort(rest, true)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 // Client is the remote serve.Client: it round-trips the same
@@ -98,11 +97,6 @@ func (c *Client) InferSync(ctx context.Context, req serve.Request) (*serve.Respo
 		return nil, err
 	}
 	return resp, resp.Err()
-}
-
-// InferBatch answers one direct multi-image request synchronously.
-func (c *Client) InferBatch(ctx context.Context, target string, imgs []*tensor.Tensor) (*serve.Response, error) {
-	return c.InferSync(ctx, serve.Request{Target: target, Images: imgs})
 }
 
 // Stats fetches the whole-server statistics snapshot.

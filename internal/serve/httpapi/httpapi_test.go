@@ -107,7 +107,7 @@ func TestHTTPMultiImageCoalesces(t *testing.T) {
 	for i := range imgs {
 		imgs[i] = testImage(uint64(300 + i))
 	}
-	resp, err := c.InferBatch(context.Background(), "m", imgs)
+	resp, err := c.InferSync(context.Background(), serve.Request{Target: "m", Images: imgs})
 	if err != nil {
 		t.Fatal(err)
 	}

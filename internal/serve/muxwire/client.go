@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/serve/httpapi"
-	"repro/internal/tensor"
 )
 
 // Client-side defaults.
@@ -170,11 +169,6 @@ func (c *Client) InferSync(ctx context.Context, req serve.Request) (*serve.Respo
 		return nil, transportError(c.addr, err)
 	}
 	return call.awaitResponse(ctx, cn)
-}
-
-// InferBatch answers one direct multi-image request synchronously.
-func (c *Client) InferBatch(ctx context.Context, target string, imgs []*tensor.Tensor) (*serve.Response, error) {
-	return c.InferSync(ctx, serve.Request{Target: target, Images: imgs})
 }
 
 // Stats fetches the whole-server statistics snapshot over the session.

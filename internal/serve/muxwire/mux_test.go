@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -454,118 +453,6 @@ func TestGracefulDrain(t *testing.T) {
 func isTransportErr(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) || errors.Is(err, net.ErrClosed)
-}
-
-// TestDialFallsBackToHTTPOnSilentPort pins the bare-address fallback:
-// probing an HTTP-only backend leaves the probe read waiting through
-// its deadline (an HTTP server sits on our binary hello expecting a
-// request line), and that *wrapped* timeout must be served over the
-// HTTP fallback — not bubble up as an unreachable-backend error. A
-// silent port is ambiguous (it could be a DLW2 backend too slow for
-// the probe window), so the timeout must NOT pin HTTP permanently:
-// the decision stays open for re-probing.
-func TestDialFallsBackToHTTPOnSilentPort(t *testing.T) {
-	stack := miniStack("mini-mobilenet")
-	srv, err := serve.New(serve.Config{
-		Stacks:   []serve.StackSpec{{Name: "m", Stack: stack}},
-		Replicas: 1, MaxBatch: 2, MaxDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: httpapi.NewHandler(srv, 1<<20)}
-	go func() { _ = hs.Serve(ln) }()
-	c := Dial(ln.Addr().String()) // bare address: probe then fall back
-	t.Cleanup(func() {
-		c.Close()
-		hs.Close()
-		srv.Close()
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	resp, err := c.InferSync(ctx, serve.Request{Target: "m", Images: []*tensor.Tensor{testImage(3)}})
-	if err != nil {
-		t.Fatalf("InferSync through fallback: %v", err)
-	}
-	if res := resp.First(); res.Stack != "m" {
-		t.Fatalf("fallback response metadata: %+v", res)
-	}
-	ac := c.(*autoClient)
-	ac.mu.Lock()
-	pinned, fb := ac.pinned, ac.fallback
-	ac.mu.Unlock()
-	if pinned != nil {
-		t.Fatalf("silent-port probe pinned %T; a timeout must stay undecided", pinned)
-	}
-	if _, ok := fb.(*httpapi.Client); !ok {
-		t.Fatalf("fallback transport is %T, want *httpapi.Client", fb)
-	}
-}
-
-// TestDialReProbesAfterSilentTimeout upgrades a bare address from the
-// HTTP fallback to mux: the first probe times out against an HTTP-only
-// port, then the port is replaced by a genuine DLW2 listener, and the
-// next call after the re-probe interval must pin the mux transport
-// instead of being stuck on HTTP forever.
-func TestDialReProbesAfterSilentTimeout(t *testing.T) {
-	oldInterval := reProbeInterval
-	reProbeInterval = 0 // every call past the first may re-probe
-	defer func() { reProbeInterval = oldInterval }()
-
-	stack := miniStack("mini-mobilenet")
-	srv, err := serve.New(serve.Config{
-		Stacks:   []serve.StackSpec{{Name: "m", Stack: stack}},
-		Replicas: 1, MaxBatch: 2, MaxDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	hs := &http.Server{Handler: httpapi.NewHandler(srv, 1<<20)}
-	go func() { _ = hs.Serve(ln) }()
-
-	c := Dial(addr)
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if _, err := c.InferSync(ctx, serve.Request{Target: "m", Images: []*tensor.Tensor{testImage(1)}}); err != nil {
-		t.Fatalf("InferSync through fallback: %v", err)
-	}
-
-	// Swap the port to a real DLW2 listener.
-	hs.Close()
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewListener(srv, ListenerConfig{})
-	go func() { _ = l.Serve(ln2) }()
-	defer l.Close()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, err := c.InferSync(ctx, serve.Request{Target: "m", Images: []*tensor.Tensor{testImage(2)}})
-		ac := c.(*autoClient)
-		ac.mu.Lock()
-		_, isMux := ac.pinned.(*Client)
-		ac.mu.Unlock()
-		if err == nil && isMux {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("re-probe never pinned mux (last err %v, pinned mux %v)", err, isMux)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // TestShutdownDuringHelloPhase regresses a nil-pointer panic: a

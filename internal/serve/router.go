@@ -27,8 +27,8 @@ import (
 //	      ──► live latency gate (estimated e2e ≤ MaxLatency)
 //	      ──► bounded admission (trySubmit) ──► pool ──► Future
 //
-// Cheapness is the modelled single-image cost of the variant on the
-// configured platform (internal/hw); the latency gate uses the live
+// Cheapness is the variant's warmed batch-1 plan time measured on this
+// host at boot; the latency gate uses the live
 // per-pool estimate (observed mean batch wall time × current backlog).
 // Variants with no Pareto-curve data (the mini models) have unknown
 // accuracy, and an endpoint whose variants are all unknown falls back
@@ -155,20 +155,19 @@ type variant struct {
 // endpoint routes one logical name across its variants.
 type endpoint struct {
 	name     string
-	variants []*variant // sorted cheapest-first (modelled cost)
+	variants []*variant // sorted cheapest-first (measured cost)
 	plain    *variant   // fallback when no variant has curve data
 	routed   atomic.Uint64
 	shed     atomic.Uint64
 }
 
 // newEndpoint wires instantiated variant pools into a router, ordering
-// them by measured single-image cost on this host (falling back to the
-// modelled platform cost for pools whose boot probe failed) — so a
-// "cheap" quantised variant must actually be cheap here to rank first.
+// them by measured single-image cost on this host — so a "cheap"
+// quantised variant must actually be cheap here to rank first.
 func newEndpoint(spec EndpointSpec, vars []*variant) *endpoint {
 	ep := &endpoint{name: spec.Name, variants: vars}
 	sort.SliceStable(ep.variants, func(i, j int) bool {
-		return ep.variants[i].pool.costSeconds() < ep.variants[j].pool.costSeconds()
+		return ep.variants[i].pool.measuredSeconds < ep.variants[j].pool.measuredSeconds
 	})
 	for _, v := range ep.variants {
 		if v.pool.insts[0].Config.Technique == core.Plain {
@@ -307,8 +306,7 @@ type VariantStats struct {
 	// (paper) platform.
 	ModelledSeconds float64
 	// MeasuredSeconds is the warmed batch-1 compiled-plan time probed on
-	// this host at pool construction — the router's cheapest-first key
-	// (0 = probe failed; the modelled cost ranks instead).
+	// this host at pool construction — the router's cheapest-first key.
 	MeasuredSeconds float64
 	// Routed counts requests the router placed on this variant; Shed
 	// counts requests refused while this variant was their preferred

@@ -6,9 +6,9 @@
 //
 // Architecture (one pool per stack configuration):
 //
-//		Submit ──► queue ──► batcher ──► batches ──► worker[0..R-1] ──► futures
+//		Do ──► intake ──► batcher ──► batches ──► worker[0..R-1] ──► futures
 //
-//	  - Submit validates and enqueues a request, returning a Future.
+//	  - Do validates and enqueues a request, returning a ResponseFuture.
 //	  - The batcher coalesces queued requests into batches, flushing when
 //	    MaxBatch requests have accumulated or MaxDelay has elapsed since
 //	    the batch was opened — whichever comes first.
@@ -43,7 +43,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrClosed is returned by Submit and Infer after Close has begun.
+// ErrClosed is returned by every submission after Close has begun.
 var ErrClosed = errors.New("serve: server closed")
 
 // StackSpec names one stack configuration the server should host.
@@ -72,7 +72,7 @@ type Config struct {
 	Stacks []StackSpec
 	// Endpoints lists the SLO-routed multi-variant endpoints to host:
 	// each variant gets its own pool (hosted alongside Stacks), and the
-	// endpoint name routes across them via Route/RouteInfer. Build
+	// endpoint name routes across them (a Request with an SLO). Build
 	// specs by hand or with Endpoint/EndpointAt.
 	Endpoints []EndpointSpec
 	// Replicas is the number of workers (and core.Instance replicas)

@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
+
+	"repro/internal/statefile"
 )
 
 // usageFileVersion tags the on-disk schema; bump it when Usage changes
@@ -25,11 +26,14 @@ type usageFile struct {
 // version this build does not speak. A broken usage file must never
 // stop a server from booting.
 func readUsageFile(path string) (usageFile, bool) {
+	b, _ := os.ReadFile(path)
+	return decodeUsageFile(b)
+}
+
+// decodeUsageFile is readUsageFile's validity check on contents
+// already read.
+func decodeUsageFile(b []byte) (usageFile, bool) {
 	var f usageFile
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return f, false
-	}
 	if json.Unmarshal(b, &f) != nil || f.Version != usageFileVersion || f.Tenants == nil {
 		return usageFile{}, false
 	}
@@ -64,57 +68,37 @@ func (m *Meter) restore() {
 	m.mu.Unlock()
 }
 
-// Save persists current usage if anything changed since the last save.
-// It re-reads the file first and merges: tenants this meter knows win
-// (our counters already include the restored baseline), tenants only
-// on disk are kept. The write is temp-file + atomic rename, so readers
-// and crashed writers never observe a torn file. Returns whether a
-// write happened.
+// Save persists current usage if anything changed since the last save,
+// and reports whether a write happened. The write goes through
+// statefile.Update: under its directory lock it re-reads the file and
+// merges — tenants this meter knows win (our counters already include
+// the restored baseline), tenants only on disk are kept — so meters
+// sharing a usage file never lose each other's tenants. A failed save
+// leaves the meter dirty, so the next one retries.
 func (m *Meter) Save() (bool, error) {
 	if m.file == "" || !m.dirty.Swap(false) {
 		return false, nil
 	}
-	merged, ok := readUsageFile(m.file)
-	if !ok {
-		merged = usageFile{Tenants: make(map[string]Usage)}
-	}
-	merged.Version = usageFileVersion
-	m.mu.RLock()
-	for id, u := range m.tenants {
-		s := u.snap()
-		s.Weight = 0 // weight is config, not usage; don't persist it
-		if s == (Usage{}) {
-			continue
+	err := statefile.Update(m.file, func(current []byte) ([]byte, error) {
+		merged, ok := decodeUsageFile(current)
+		if !ok {
+			merged = usageFile{Version: usageFileVersion, Tenants: make(map[string]Usage)}
 		}
-		merged.Tenants[id] = s
-	}
-	m.mu.RUnlock()
-
-	b, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return false, fmt.Errorf("tenant: encoding usage file: %w", err)
-	}
-	if dir := filepath.Dir(m.file); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return false, fmt.Errorf("tenant: creating usage dir: %w", err)
+		m.mu.RLock()
+		for id, u := range m.tenants {
+			s := u.snap()
+			s.Weight = 0 // weight is config, not usage; don't persist it
+			if s != (Usage{}) {
+				merged.Tenants[id] = s
+			}
 		}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(m.file), filepath.Base(m.file)+".tmp*")
+		m.mu.RUnlock()
+		b, err := json.MarshalIndent(merged, "", "  ")
+		return append(b, '\n'), err
+	})
 	if err != nil {
-		return false, fmt.Errorf("tenant: creating usage temp file: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("tenant: writing usage file: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("tenant: closing usage temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), m.file); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("tenant: installing usage file: %w", err)
+		m.dirty.Store(true)
+		return false, fmt.Errorf("tenant: saving usage file: %w", err)
 	}
 	return true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,6 +236,42 @@ func TestUsageFileMergeKeepsForeignTenants(t *testing.T) {
 	}
 }
 
+// TestMeterConcurrentSaveMerges simulates two servers sharing one
+// usage file: each meters a disjoint tenant; after both save at once,
+// the file must hold both — the directory lock spans each saver's
+// read→merge→rename, so neither rename drops the other's tenant.
+func TestMeterConcurrentSaveMerges(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "usage.json")
+	a, err := NewMeter(Config{UsageFile: file, SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewMeter(Config{UsageFile: file, SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.RecordAdmitted("alice", 1)
+	b.RecordAdmitted("bob", 2)
+	var wg sync.WaitGroup
+	for _, m := range []*Meter{a, b} {
+		wg.Add(1)
+		go func(m *Meter) {
+			defer wg.Done()
+			if _, err := m.Save(); err != nil {
+				t.Error(err)
+			}
+		}(m)
+	}
+	wg.Wait()
+	f, ok := readUsageFile(file)
+	if !ok {
+		t.Fatal("saved file unreadable")
+	}
+	if f.Tenants["alice"].Images != 1 || f.Tenants["bob"].Images != 2 {
+		t.Fatalf("merged usage = %+v, want alice and bob", f.Tenants)
+	}
+}
+
 func TestCorruptUsageFileDegradesToEmpty(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
@@ -281,6 +318,35 @@ func TestSaveIsDirtyGated(t *testing.T) {
 	}
 	if wrote, _ := m.Save(); wrote {
 		t.Fatal("second save after no traffic wrote again")
+	}
+}
+
+// TestFailedSaveStaysDirty pins the autosaver's retry: a save that
+// fails (here the usage directory cannot be created because a plain
+// file is in the way) must leave the meter dirty, so the next save
+// writes the usage once the path is usable again.
+func TestFailedSaveStaysDirty(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "state")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(blocker, "usage.json")
+	m, err := NewMeter(Config{UsageFile: file, SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RecordAdmitted("t", 1)
+	if wrote, err := m.Save(); err == nil || wrote {
+		t.Fatalf("save under a plain file wrote=%v err=%v, want an error", wrote, err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if wrote, err := m.Save(); err != nil || !wrote {
+		t.Fatalf("retry after a failed save wrote=%v err=%v, want write", wrote, err)
+	}
+	if f, ok := readUsageFile(file); !ok || f.Tenants["t"].Requests != 1 {
+		t.Fatalf("retried save left %+v ok=%v", f, ok)
 	}
 }
 

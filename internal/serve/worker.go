@@ -56,28 +56,19 @@ type pool struct {
 	modelSeconds float64      // modelled single-image time (paper platform)
 	// measuredSeconds is the best-of warmed batch-1 compiled-plan time
 	// on this host, probed once at pool construction. It is the router's
-	// preferred cost rank (costSeconds): a quantised variant is ordered
-	// by what it actually costs here, not by the paper's tables.
+	// cost rank: a quantised variant is ordered by what it actually
+	// costs here, not by the paper's tables.
 	measuredSeconds float64
-}
-
-// costSeconds is the router's static cost key: measured when the boot
-// probe succeeded, the modelled platform time otherwise.
-func (p *pool) costSeconds() float64 {
-	if p.measuredSeconds > 0 {
-		return p.measuredSeconds
-	}
-	return p.modelSeconds
 }
 
 // measurePlanSeconds compiles the instance's batch-1 plan, warms it and
 // returns the best of a few timed runs — a cheap, low-variance probe of
-// single-image cost on this host. Compilation failures read as 0 (no
-// measurement); the caller falls back to the modelled rank.
-func measurePlanSeconds(inst *core.Instance) float64 {
+// single-image cost on this host. A plan that does not compile is an
+// error: every request would need one.
+func measurePlanSeconds(inst *core.Instance) (float64, error) {
 	plan, err := inst.PlanFor(1)
 	if err != nil {
-		return 0
+		return 0, fmt.Errorf("compiling batch-1 plan: %w", err)
 	}
 	plan.Run() // warm: page in scratch, resolve lazy weight views
 	best := time.Duration(1<<62 - 1)
@@ -88,7 +79,7 @@ func measurePlanSeconds(inst *core.Instance) float64 {
 			best = d
 		}
 	}
-	return best.Seconds()
+	return best.Seconds(), nil
 }
 
 // newPool instantiates the stack Replicas times and starts the batcher
@@ -127,7 +118,9 @@ func newPool(name string, stack core.Config, cfg Config, meter *tenant.Meter) (*
 	}
 	// Probe real single-image cost before the worker goroutines start,
 	// while the prototype instance is still exclusively ours.
-	p.measuredSeconds = measurePlanSeconds(proto)
+	if p.measuredSeconds, err = measurePlanSeconds(proto); err != nil {
+		return nil, err
+	}
 	p.wg.Add(1)
 	go p.batchLoop()
 	for _, inst := range insts {
