@@ -256,9 +256,9 @@ func DefaultServerConfig() ServerConfig { return serve.DefaultConfig() }
 // Server.Submit / Infer / Route / RouteInfer shims are gone — submit
 // through a Client.
 type (
-	// Client is the transport-agnostic serving API: Infer/InferSync
-	// with a Request (one or more images), plus Stats, Models, Session
-	// and Close.
+	// Client is the transport-agnostic serving API: InferSync with a
+	// Request (one or more images), plus Stats, Models, Session and
+	// Close. Session is the way to keep many requests in flight.
 	Client = serve.Client
 	// Request is one inference request: Target (pool or endpoint
 	// routing name), Images (one or more C×H×W inputs) and an optional
@@ -267,8 +267,8 @@ type (
 	Request = serve.Request
 	// Response holds one ServeResult per request image, in order.
 	Response = serve.Response
-	// ResponseFuture is the pending Response of an accepted Request;
-	// Wait is idempotent.
+	// ResponseFuture is the pending Response of a Request accepted by
+	// Server.Do, the in-process submit path; Wait is idempotent.
 	ResponseFuture = serve.ResponseFuture
 	// ModelInfo describes one routing target (name, kind, input shape,
 	// endpoint variants) as reported by Client.Models.
@@ -442,20 +442,12 @@ type (
 	// ClusterMemberStats is one member's entry in ClusterStats.
 	ClusterMemberStats = cluster.MemberStats
 	// ClusterOption is a functional option for NewCluster:
-	// WithProbeInterval, WithProbeTimeout, WithEjectionBackoff.
+	// WithProbeInterval.
 	ClusterOption = cluster.Option
 )
 
 // WithProbeInterval sets the cluster health-probe cadence.
 func WithProbeInterval(d time.Duration) ClusterOption { return cluster.WithProbeInterval(d) }
-
-// WithProbeTimeout bounds one cluster health probe.
-func WithProbeTimeout(d time.Duration) ClusterOption { return cluster.WithProbeTimeout(d) }
-
-// WithEjectionBackoff sets the ejected-member re-probe backoff range.
-func WithEjectionBackoff(base, max time.Duration) ClusterOption {
-	return cluster.WithBackoff(base, max)
-}
 
 // NewCluster assembles a fleet Client over the members, probing each
 // member once; members that are down start ejected and are re-admitted

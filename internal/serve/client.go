@@ -13,17 +13,19 @@ import (
 //
 // The four historical entry points (Submit / Infer / Route /
 // RouteInfer) were in-process methods with positional arguments — fine
-// for a library, unusable over a wire. They are gone now (deleted in
-// the DLW2 PR after two releases as deprecated shims); the client side
-// of the serving subsystem is one Request/Response pair and a Client
-// interface with four implementations: LocalClient (this file, a
-// direct wrapper over Server), httpapi.Client (the same types
-// round-tripped over HTTP/DLW1), muxwire.Client (pipelined over a
-// persistent DLW2 session), and cluster.Cluster (placement over N of
-// any of those). Everything a caller can say is in the Request value,
-// so adding a transport never changes the API again:
+// for a library, unusable over a wire. They are gone now; the client
+// side of the serving subsystem is one Request/Response pair and a
+// Client interface with four implementations: LocalClient (this file,
+// a direct wrapper over Server), httpapi.Client (the same types
+// round-tripped over HTTP/DLW1), muxwire.Client (pipelined over
+// persistent DLW2 connections), and cluster.Cluster (placement over N
+// of any of those). Everything a caller can say is in the Request
+// value, so adding a transport never changes the API again. Each
+// client has one submit path, InferSync; a caller that wants many
+// requests in flight opens a Session:
 //
-//	Request{Target, Images, SLO} ──► Client.Infer ──► *ResponseFuture ──► Response{Results}
+//	Request{Target, Images, SLO} ──► Client.InferSync ──► Response{Results}
+//	                             └─► Session.Send … Session.Recv ──► SessionResult{ID, Resp}
 //
 // Target is any hosted routing name — a pool ("resnet18/plain") or an
 // SLO-routed endpoint ("resnet18"). A zero SLO on a pool target is the
@@ -86,46 +88,21 @@ func (r *Response) Err() error {
 	return nil
 }
 
-// ResponseFuture is the pending Response of an accepted Request. Like
+// ResponseFuture is the pending Response of a Request that Server.Do
+// accepted: the per-image futures coalescing in the batcher. Like
 // Future it resolves once and stays resolved: Wait is idempotent.
 type ResponseFuture struct {
-	// Local mode: per-image futures to aggregate on Wait.
 	futs []*Future
-	// Resolved mode (remote transports): done closes once resp/err are
-	// written by the resolve hook.
-	done chan struct{}
-	resp *Response
-	err  error
-}
-
-// NewResponseFuture returns an unresolved future plus the function that
-// delivers its outcome (exactly once) — the hook remote transports use
-// to adapt an asynchronous round trip into the same future shape the
-// in-process path returns.
-func NewResponseFuture() (*ResponseFuture, func(*Response, error)) {
-	rf := &ResponseFuture{done: make(chan struct{})}
-	return rf, func(resp *Response, err error) {
-		rf.resp, rf.err = resp, err
-		close(rf.done)
-	}
 }
 
 // Wait blocks until every image in the request has resolved or ctx is
 // done. On success the Response holds one Result per image in request
 // order; the returned error is then the first per-image execution
-// error (nil when all succeeded), mirroring the legacy Infer contract
-// — the Response stays non-nil either way so callers can inspect the
-// surviving results. A ctx abort returns (nil, ctx.Err()) without
-// cancelling the accepted request; Wait may be called again.
+// error (nil when all succeeded), mirroring InferSync — the Response
+// stays non-nil either way so callers can inspect the surviving
+// results. A ctx abort returns (nil, ctx.Err()) without cancelling the
+// accepted request; Wait may be called again.
 func (rf *ResponseFuture) Wait(ctx context.Context) (*Response, error) {
-	if rf.done != nil {
-		select {
-		case <-rf.done:
-			return rf.resp, rf.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	resp := &Response{Results: make([]Result, len(rf.futs))}
 	for i, f := range rf.futs {
 		// Per-image failures surface through Result.Err, not the Wait
@@ -176,12 +153,11 @@ type ServerStats struct {
 // pointed at any of them. A multi-image request is one Request with
 // several Images.
 type Client interface {
-	// Infer submits one Request and returns immediately with its
-	// pending Response. Submit-time errors (unknown target, shape
-	// mismatch, admission rejection) are returned here by in-process
-	// implementations; remote transports may defer them to Wait.
-	Infer(ctx context.Context, req Request) (*ResponseFuture, error)
-	// InferSync is Infer followed by Wait on the same ctx.
+	// InferSync submits one Request and waits for its Response. The
+	// Response carries one Result per image; the error is the typed
+	// submission failure (unknown target, shape mismatch, admission
+	// rejection, transport loss) or the first per-image execution
+	// error, with the Response still non-nil in the latter case.
 	InferSync(ctx context.Context, req Request) (*Response, error)
 	// Stats snapshots the server's serving statistics.
 	Stats(ctx context.Context) (ServerStats, error)
@@ -197,10 +173,11 @@ type Client interface {
 	Close() error
 }
 
-// Do is the one submission path behind every Client: it resolves the
-// target, applies SLO routing or direct enqueueing, and fans a
-// multi-image request out to per-image futures coalescing in the
-// batcher.
+// Do is the server-side submission path behind every Client: it
+// resolves the target, applies SLO routing or direct enqueueing, and
+// fans a multi-image request out to per-image futures coalescing in
+// the batcher. LocalClient and the HTTP and DLW2 handlers all call it;
+// submit-time errors are returned here, execution outcomes at Wait.
 func (s *Server) Do(ctx context.Context, req Request) (*ResponseFuture, error) {
 	futs, err := s.submitRequest(ctx, req)
 	if err != nil {
@@ -334,12 +311,8 @@ func NewLocalClient(srv *Server, opts ...ClientOption) *LocalClient {
 // portable interface.
 func (c *LocalClient) Server() *Server { return c.srv }
 
-// Infer submits the request on the in-process path.
-func (c *LocalClient) Infer(ctx context.Context, req Request) (*ResponseFuture, error) {
-	return c.srv.Do(ctx, c.opts.Stamp(req))
-}
-
-// InferSync is Infer followed by Wait.
+// InferSync submits the request on the in-process path and waits for
+// it, bounded by the client's timeout.
 func (c *LocalClient) InferSync(ctx context.Context, req Request) (*Response, error) {
 	ctx, cancel := c.opts.Deadline(ctx)
 	defer cancel()

@@ -293,3 +293,36 @@ func TestDefaultConfigFullyResolved(t *testing.T) {
 		t.Fatalf("partial config QueueCap = %d, want %d", partial.QueueCap, 3*16*4)
 	}
 }
+
+// TestLocalSessionHonoursClientTimeout pins the uniform timeout rule:
+// a pipelined session sends each request through InferSync, so a
+// client built WithTimeout bounds every session request exactly as it
+// bounds a direct call. The batching window holds the lone request far
+// past the timeout, so its outcome must be the deadline.
+func TestLocalSessionHonoursClientTimeout(t *testing.T) {
+	s := newTestServer(t, Config{
+		Stacks:   []StackSpec{{Name: "m", Stack: miniStack("mini-mobilenet")}},
+		Replicas: 1, MaxBatch: 4, MaxDelay: time.Second,
+	})
+	c := NewLocalClient(s, WithTimeout(50*time.Millisecond))
+	sess, err := c.Session(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	start := time.Now()
+	id, err := sess.Send(Request{Target: "m", Images: []*tensor.Tensor{testImage(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := sess.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.ID != id || !errors.Is(sr.Err, context.DeadlineExceeded) {
+		t.Fatalf("session result = %+v, want id %d with context.DeadlineExceeded", sr, id)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("timed-out request took %v; the 50ms client timeout did not bound it", took)
+	}
+}

@@ -287,10 +287,10 @@ func transportFailure(err error) bool {
 		errors.Is(err, syscall.EPIPE)
 }
 
-// do is the placement loop behind Infer and InferSync: pick, submit,
-// and — on overload or member death — fail over until the request is
-// answered or the candidates are exhausted.
-func (c *Cluster) do(ctx context.Context, req serve.Request) (*serve.Response, error) {
+// InferSync places the request and waits for its Response: pick,
+// submit, and — on overload or member death — fail over until the
+// request is answered or the candidates are exhausted.
+func (c *Cluster) InferSync(ctx context.Context, req serve.Request) (*serve.Response, error) {
 	if c.closed.Load() {
 		return nil, serve.ErrClosed
 	}
@@ -439,28 +439,6 @@ func (c *Cluster) targetNames() []string {
 		m.mu.RUnlock()
 	}
 	return names
-}
-
-// Infer submits one Request and returns immediately with its pending
-// Response. Like the HTTP client — and unlike the in-process one —
-// placement and admission run asynchronously, so most submit-time
-// errors surface at Wait; only a definitively unknown target and a
-// closed cluster are refused here.
-func (c *Cluster) Infer(ctx context.Context, req serve.Request) (*serve.ResponseFuture, error) {
-	if c.closed.Load() {
-		return nil, serve.ErrClosed
-	}
-	if hosted, tableSeen := c.knows(req.Target); !hosted && tableSeen {
-		return nil, fmt.Errorf("%w: %q (cluster hosts: %v)", serve.ErrUnknownTarget, req.Target, c.targetNames())
-	}
-	rf, resolve := serve.NewResponseFuture()
-	go func() { resolve(c.do(ctx, req)) }()
-	return rf, nil
-}
-
-// InferSync places the request and waits for its Response.
-func (c *Cluster) InferSync(ctx context.Context, req serve.Request) (*serve.Response, error) {
-	return c.do(ctx, req)
 }
 
 // Models lists the union of every member's advertised routing targets,

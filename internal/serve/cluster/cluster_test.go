@@ -50,12 +50,6 @@ func (f *fakeBackend) set(fn func(*fakeBackend)) {
 	fn(f)
 }
 
-func (f *fakeBackend) Infer(ctx context.Context, req serve.Request) (*serve.ResponseFuture, error) {
-	rf, resolve := serve.NewResponseFuture()
-	resolve(f.InferSync(ctx, req))
-	return rf, nil
-}
-
 func (f *fakeBackend) InferSync(ctx context.Context, req serve.Request) (*serve.Response, error) {
 	f.inferred.Add(1)
 	f.mu.Lock()
@@ -354,13 +348,9 @@ func TestErrorContracts(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Unknown target: typed at submit time (Infer) and at placement
-	// (InferSync).
+	// Unknown target: typed at placement.
 	if _, err := c.InferSync(ctx, testReq("nope")); !errors.Is(err, serve.ErrUnknownTarget) {
 		t.Fatalf("unknown target: err = %v, want ErrUnknownTarget", err)
-	}
-	if _, err := c.Infer(ctx, testReq("nope")); !errors.Is(err, serve.ErrUnknownTarget) {
-		t.Fatalf("async unknown target: err = %v, want ErrUnknownTarget", err)
 	}
 
 	// ErrNoVariant from every member surfaces as ErrNoVariant — it is
@@ -574,37 +564,5 @@ func TestClusterOverRealServers(t *testing.T) {
 	// refused with the typed sentinel.
 	if _, err := s1.Do(ctx, serve.Request{Target: "m", Images: []*tensor.Tensor{testImage(1)}}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("member server after cluster close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestAsyncInferResolves pins the Infer/Wait path: the future resolves
-// with the same outcome InferSync returns, including failover.
-func TestAsyncInferResolves(t *testing.T) {
-	dying := newFakeBackend(0, "m")
-	alive := newFakeBackend(0, "m")
-	dying.set(func(f *fakeBackend) {
-		f.inferErr = &url.Error{Op: "Post", URL: "http://dying/v1/infer", Err: io.EOF}
-	})
-	c, err := New(testConfig(), Member{Name: "dying", Client: dying}, Member{Name: "alive", Client: alive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	rf, err := c.Infer(ctx, testReq("m"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := rf.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.First().Stack != "m" {
-		t.Fatalf("async response = %+v", resp.First())
-	}
-	// Wait is idempotent across transports.
-	again, err := rf.Wait(ctx)
-	if err != nil || again.First().Stack != "m" {
-		t.Fatalf("re-wait = %+v, %v", again, err)
 	}
 }

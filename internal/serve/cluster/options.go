@@ -23,17 +23,6 @@ func WithProbeInterval(d time.Duration) Option {
 	return func(c *Config) { c.ProbeInterval = d }
 }
 
-// WithProbeTimeout bounds one member's probe round trip.
-func WithProbeTimeout(d time.Duration) Option {
-	return func(c *Config) { c.ProbeTimeout = d }
-}
-
-// WithBackoff sets the ejected-member re-probe backoff: base is the
-// first re-probe delay, max caps the doubling.
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *Config) { c.BackoffBase, c.BackoffMax = base, max }
-}
-
 // NewWithOptions is the option-style constructor: a fleet of members
 // plus tuning options, defaults for everything unset.
 func NewWithOptions(members []Member, opts ...Option) (*Cluster, error) {

@@ -50,17 +50,6 @@ type remoteError struct {
 func (e *remoteError) Error() string { return e.msg }
 func (e *remoteError) Unwrap() error { return e.sentinel }
 
-// Infer submits the request asynchronously: the round trip runs in the
-// background and the returned future resolves with its outcome. Unlike
-// the in-process client, submit-time errors (admission, validation)
-// surface at Wait rather than here — the wire cannot separate
-// acceptance from completion without a second round trip.
-func (c *Client) Infer(ctx context.Context, req serve.Request) (*serve.ResponseFuture, error) {
-	rf, resolve := serve.NewResponseFuture()
-	go func() { resolve(c.InferSync(ctx, req)) }()
-	return rf, nil
-}
-
 // InferSync posts one request frame and decodes the response,
 // reconstructing typed errors from non-200 statuses. Like the
 // in-process path it returns the Response alongside the first

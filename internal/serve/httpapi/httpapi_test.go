@@ -149,12 +149,18 @@ func TestHTTPTypedErrors(t *testing.T) {
 
 	// 429 → *OverloadedError. QueueCap is 1 and the hour-long batching
 	// window pins the first request in the open batch, so a second
-	// routed request must shed. The first rides an async Infer; polling
-	// the wire-side stats for its arrival keeps this deterministic.
-	rf, err := c.Infer(ctx, serve.Request{Target: "vgg", Images: []*tensor.Tensor{testImage(3)}})
-	if err != nil {
-		t.Fatal(err)
+	// routed request must shed. The first rides an InferSync goroutine;
+	// polling the wire-side stats for its arrival keeps this
+	// deterministic.
+	type outcome struct {
+		resp *serve.Response
+		err  error
 	}
+	pinned := make(chan outcome, 1)
+	go func() {
+		resp, err := c.InferSync(ctx, serve.Request{Target: "vgg", Images: []*tensor.Tensor{testImage(3)}})
+		pinned <- outcome{resp, err}
+	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for queued := false; !queued; {
 		st, err := c.Stats(ctx)
@@ -183,11 +189,11 @@ func TestHTTPTypedErrors(t *testing.T) {
 		t.Fatalf("reconstructed RetryAfter = %v, want ≥ 1ms", ov.RetryAfter)
 	}
 
-	// Close drains the pinned request (the async future resolves) and
-	// every later call maps 503 → ErrClosed.
+	// Close drains the pinned request (its InferSync returns) and every
+	// later call maps 503 → ErrClosed.
 	srv.Close()
-	if resp, err := rf.Wait(ctx); err != nil || resp.First().Output == nil {
-		t.Fatalf("pinned request not drained over HTTP: %v", err)
+	if o := <-pinned; o.err != nil || o.resp.First().Output == nil {
+		t.Fatalf("pinned request not drained over HTTP: %v", o.err)
 	}
 	_, err = c.InferSync(ctx, serve.Request{Target: "vgg", Images: []*tensor.Tensor{testImage(5)}})
 	if !errors.Is(err, serve.ErrClosed) {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -85,9 +86,9 @@ func NewClient(addr string, opts ...serve.ClientOption) *Client {
 	return c
 }
 
-// conn returns a live pooled connection, dialing if the slot is empty
-// and its backoff window has passed.
-func (c *Client) conn() (*conn, error) {
+// pooled returns a live pooled connection, dialing if the slot is
+// empty and its backoff window has passed.
+func (c *Client) pooled(ctx context.Context) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -96,12 +97,14 @@ func (c *Client) conn() (*conn, error) {
 	s := c.slots[c.next%len(c.slots)]
 	c.next++
 	c.mu.Unlock()
-	return s.get(c.addr)
+	return s.get(ctx, c.addr)
 }
 
 // get returns the slot's connection, dialing under the slot lock so
-// concurrent callers share one attempt.
-func (s *slot) get(addr string) (*conn, error) {
+// concurrent callers share one attempt. A dial cut short by the
+// caller's ctx says nothing about the backend, so it does not arm the
+// backoff other callers would then fail fast on.
+func (s *slot) get(ctx context.Context, addr string) (*conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cn != nil && !s.cn.isDead() {
@@ -111,8 +114,11 @@ func (s *slot) get(addr string) (*conn, error) {
 	if !s.nextTry.IsZero() && time.Now().Before(s.nextTry) {
 		return nil, s.lastErr
 	}
-	cn, err := dialConn(addr)
+	cn, err := dialConn(ctx, addr, nil)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
+		}
 		if s.backoff == 0 {
 			s.backoff = redialBackoffBase
 		} else if s.backoff < redialBackoffMax {
@@ -122,20 +128,9 @@ func (s *slot) get(addr string) (*conn, error) {
 		s.lastErr = err
 		return nil, err
 	}
-	go cn.readLoop()
 	s.backoff, s.nextTry, s.lastErr = 0, time.Time{}, nil
 	s.cn = cn
 	return cn, nil
-}
-
-// Infer submits the request asynchronously on a pooled connection: the
-// frame is written (pipelined — no await between submissions) and the
-// returned future resolves when its response or error frame arrives.
-// Like the HTTP client, submit-time errors surface at Wait.
-func (c *Client) Infer(ctx context.Context, req serve.Request) (*serve.ResponseFuture, error) {
-	rf, resolve := serve.NewResponseFuture()
-	go func() { resolve(c.InferSync(ctx, req)) }()
-	return rf, nil
 }
 
 // InferSync submits one request frame and awaits its completion frame,
@@ -145,7 +140,7 @@ func (c *Client) InferSync(ctx context.Context, req serve.Request) (*serve.Respo
 	req = c.opts.Stamp(req)
 	ctx, cancel := c.opts.Deadline(ctx)
 	defer cancel()
-	cn, err := c.conn()
+	cn, err := c.pooled(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -153,31 +148,24 @@ func (c *Client) InferSync(ctx context.Context, req serve.Request) (*serve.Respo
 	if err := httpapi.EncodeRequest(&body, req); err != nil {
 		return nil, err
 	}
-	call := cn.register()
-	if call.err != nil {
-		return nil, call.err
+	cl, err := cn.send(frameRequest, body.Bytes())
+	if err != nil {
+		return nil, err
 	}
-	if err := cn.writeFrame(frameRequest, call.id, body.Bytes()); err != nil {
-		cn.unregister(call.id)
-		if errors.Is(err, serve.ErrClosed) || errors.Is(err, ErrPayloadTooLarge) {
-			// Nothing reached the wire: a dead-conn abort (drain handshake)
-			// or a refused oversize payload. The connection — and every
-			// other in-flight request on it — stays up.
-			return nil, err
-		}
-		cn.fail(err)
-		return nil, transportError(c.addr, err)
+	if err := cl.await(ctx, cn); err != nil {
+		return nil, err
 	}
-	return call.awaitResponse(ctx, cn)
+	return cl.decode()
 }
 
-// Stats fetches the whole-server statistics snapshot over the session.
+// Stats fetches the whole-server statistics snapshot over a pooled
+// connection.
 func (c *Client) Stats(ctx context.Context) (serve.ServerStats, error) {
 	var st serve.ServerStats
 	return st, c.control(ctx, frameStats, &st)
 }
 
-// Models fetches the hosted routing targets over the session.
+// Models fetches the hosted routing targets over a pooled connection.
 func (c *Client) Models(ctx context.Context) ([]serve.ModelInfo, error) {
 	var ms []serve.ModelInfo
 	return ms, c.control(ctx, frameModels, &ms)
@@ -188,35 +176,21 @@ func (c *Client) Models(ctx context.Context) ([]serve.ModelInfo, error) {
 func (c *Client) control(ctx context.Context, typ byte, dst any) error {
 	ctx, cancel := c.opts.Deadline(ctx)
 	defer cancel()
-	cn, err := c.conn()
+	cn, err := c.pooled(ctx)
 	if err != nil {
 		return err
 	}
-	call := cn.register()
-	if call.err != nil {
-		return call.err
+	cl, err := cn.send(typ, nil)
+	if err != nil {
+		return err
 	}
-	if err := cn.writeFrame(typ, call.id, nil); err != nil {
-		cn.unregister(call.id)
-		if errors.Is(err, serve.ErrClosed) {
-			return err
-		}
-		cn.fail(err)
-		return transportError(c.addr, err)
+	if err := cl.await(ctx, cn); err != nil {
+		return err
 	}
-	select {
-	case <-call.done:
-	case <-ctx.Done():
-		cn.unregister(call.id)
-		return ctx.Err()
+	if cl.kind == frameError {
+		return httpapi.UnmarshalError(cl.raw)
 	}
-	if call.err != nil {
-		return call.err
-	}
-	if call.kind == frameError {
-		return httpapi.UnmarshalError(call.raw)
-	}
-	if err := json.Unmarshal(call.raw, dst); err != nil {
+	if err := json.Unmarshal(cl.raw, dst); err != nil {
 		return fmt.Errorf("muxwire: decoding control reply: %w", err)
 	}
 	return nil
@@ -235,14 +209,11 @@ func (c *Client) Session(ctx context.Context) (serve.Session, error) {
 		return nil, serve.ErrClosed
 	}
 	c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cn, err := dialConn(c.addr)
+	cn, err := dialConn(ctx, c.addr, make(chan *call, sessionOutBuffer))
 	if err != nil {
 		return nil, err
 	}
-	return newMuxSession(ctx, c, cn), nil
+	return &muxSession{client: c, cn: cn, ctx: ctx}, nil
 }
 
 // Close closes every pooled connection; in-flight calls fail with
@@ -272,17 +243,24 @@ var _ serve.Client = (*Client)(nil)
 
 // call is one in-flight exchange on a conn.
 type call struct {
-	id   uint64
+	id uint64
+	// done closes when the call completes on a pooled conn; a session
+	// conn hands the call to its sink instead and leaves done nil.
 	done chan struct{}
-	// kind/raw hold the completion frame (decoded by the awaiting
-	// caller, so tensor decode parallelises across callers instead of
+	// kind/raw hold the completion frame (decoded by whoever receives
+	// the call, so tensor decode parallelises across callers instead of
 	// serialising in the read loop); err holds a transport failure.
 	kind byte
 	raw  []byte
 	err  error
 }
 
-// conn is one established DLW2 connection.
+// conn is one established DLW2 connection. Its read loop completes
+// calls in arrival order: a pooled conn (nil sink) closes each call's
+// done channel for the caller parked on it; a session conn delivers
+// each call to its bounded sink, which the session's Recv drains. A
+// full sink stops the read loop — TCP flow control then backpressures
+// the server without affecting any other connection.
 type conn struct {
 	c  net.Conn
 	bw *bufio.Writer
@@ -292,59 +270,106 @@ type conn struct {
 	mu      sync.Mutex
 	pending map[uint64]*call
 	nextID  uint64
-	dead    bool
-	deadErr error
+	deadErr error // why the conn stopped taking calls; nil while live
+
+	sink chan *call    // session conns only
+	stop chan struct{} // closed by the session's Close: sink deliveries give up
+	// readDone closes when the read loop exits, after it has delivered
+	// every call it ever will.
+	readDone chan struct{}
 
 	window uint16 // server-advertised in-flight cap (informational)
 }
 
-// dialConn establishes and handshakes one connection.
-func dialConn(addr string) (*conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, DialTimeout)
+// dialConn establishes and handshakes one connection and starts its
+// read loop. Connect plus hello are bounded by the earlier of ctx's
+// deadline and DialTimeout; when ctx ended first, the error wraps
+// ctx's error.
+func dialConn(ctx context.Context, addr string, sink chan *call) (*conn, error) {
+	deadline := time.Now().Add(DialTimeout)
+	d, ok := ctx.Deadline()
+	callerBound := ok && d.Before(deadline)
+	if callerBound {
+		deadline = d
+	}
+	nc, err := (&net.Dialer{Deadline: deadline}).DialContext(ctx, "tcp", addr)
+	var window uint16
+	if err == nil {
+		_ = nc.SetDeadline(deadline)
+		if err = writeHello(nc, 0); err == nil {
+			window, err = readHello(nc)
+		}
+		_ = nc.SetDeadline(time.Time{})
+		if err != nil {
+			nc.Close()
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("muxwire: dial %s: %w", addr, err)
+		if callerBound && (errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded)) {
+			// The deadline that fired is ctx's own; its timer may lag the
+			// socket's by a moment.
+			<-ctx.Done()
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		return nil, fmt.Errorf("muxwire: connecting to %s: %w", addr, err)
 	}
-	_ = nc.SetDeadline(time.Now().Add(DialTimeout))
-	if err := writeHello(nc, 0); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("muxwire: hello to %s: %w", addr, err)
-	}
-	window, err := readHello(nc)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("muxwire: hello from %s: %w", addr, err)
-	}
-	_ = nc.SetDeadline(time.Time{})
 	cn := &conn{
-		c:       nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		pending: make(map[uint64]*call),
-		window:  window,
+		c:        nc,
+		bw:       bufio.NewWriterSize(nc, 64<<10),
+		pending:  make(map[uint64]*call),
+		sink:     sink,
+		readDone: make(chan struct{}),
+		window:   window,
 	}
+	if sink != nil {
+		cn.stop = make(chan struct{})
+	}
+	go cn.readLoop()
 	return cn, nil
 }
 
-// register allocates an id and parks a call on it.
-func (cn *conn) register() *call {
+// send registers a call and writes its frame. An error means the call
+// will never complete: the conn was already dead, the payload was
+// refused as oversize or a drain won the race (nothing reached the
+// wire and the conn stays up for everything else in flight), or the
+// write failed (the conn is torn down, failing everything on it).
+func (cn *conn) send(typ byte, payload []byte) (*call, error) {
 	cn.mu.Lock()
-	defer cn.mu.Unlock()
+	if err := cn.deadErr; err != nil {
+		cn.mu.Unlock()
+		return nil, err
+	}
 	cn.nextID++
-	cl := &call{id: cn.nextID, done: make(chan struct{})}
-	if cn.dead {
-		cl.err = cn.deadErr
-		close(cl.done)
-		return cl
+	cl := &call{id: cn.nextID}
+	if cn.sink == nil {
+		cl.done = make(chan struct{})
 	}
 	cn.pending[cl.id] = cl
-	return cl
+	cn.mu.Unlock()
+	err := cn.writeFrame(typ, cl.id, payload)
+	if err != nil && !errors.Is(err, serve.ErrClosed) && !errors.Is(err, ErrPayloadTooLarge) {
+		err = transportError(cn.c.RemoteAddr().String(), err)
+		cn.fail(err)
+	}
+	if err == nil || !cn.unregister(cl.id) {
+		// Sent, or the conn's teardown already took the call and
+		// completes it with the teardown error.
+		return cl, nil
+	}
+	return nil, err
 }
 
-// unregister abandons a call (ctx abort); a late completion frame for
-// the id is dropped by the read loop.
-func (cn *conn) unregister(id uint64) {
+// unregister abandons a call (ctx abort, failed write); a late
+// completion frame for the id is dropped by the read loop. It reports
+// whether the call was still pending.
+func (cn *conn) unregister(id uint64) bool {
 	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	_, ok := cn.pending[id]
 	delete(cn.pending, id)
-	cn.mu.Unlock()
+	return ok
 }
 
 // writeFrame emits one frame under the write lock and flushes. A conn
@@ -358,11 +383,8 @@ func (cn *conn) unregister(id uint64) {
 func (cn *conn) writeFrame(typ byte, id uint64, payload []byte) error {
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
-	cn.mu.Lock()
-	dead, deadErr := cn.dead, cn.deadErr
-	cn.mu.Unlock()
-	if dead {
-		return deadErr
+	if err := cn.err(); err != nil {
+		return err
 	}
 	if len(payload) > MaxFrameBytes {
 		// Refuse before touching the socket: the server's decoder would
@@ -387,11 +409,10 @@ func (cn *conn) writeFrame(typ byte, id uint64, payload []byte) error {
 // in-flight work drains without losing pipelined requests.
 func (cn *conn) ackGoaway() {
 	cn.mu.Lock()
-	if cn.dead {
+	if cn.deadErr != nil {
 		cn.mu.Unlock()
 		return
 	}
-	cn.dead = true
 	cn.deadErr = serve.ErrClosed
 	cn.mu.Unlock()
 	cn.wmu.Lock()
@@ -403,9 +424,10 @@ func (cn *conn) ackGoaway() {
 	cn.wmu.Unlock()
 }
 
-// readLoop dispatches completion frames to their calls until the
-// connection dies, then fails everything pending.
+// readLoop completes calls as their frames arrive until the connection
+// dies, then fails everything pending.
 func (cn *conn) readLoop() {
+	defer close(cn.readDone)
 	br := bufio.NewReaderSize(cn.c, 64<<10)
 	for {
 		h, payload, err := readFrame(br)
@@ -421,12 +443,13 @@ func (cn *conn) readLoop() {
 			cn.mu.Unlock()
 			if cl != nil {
 				cl.kind, cl.raw = h.typ, payload
-				close(cl.done)
+				cn.complete(cl)
 			}
 		case frameGoaway:
 			// Server drain notice: in-flight completions still arrive
 			// (the loop keeps reading); acknowledge so the server can end
-			// the session, and let the pool redial elsewhere/later.
+			// the session, and refuse new sends so the caller redials
+			// elsewhere/later.
 			cn.ackGoaway()
 		default:
 			cn.close(transportError(cn.c.RemoteAddr().String(), errUnknownFrameType))
@@ -435,19 +458,34 @@ func (cn *conn) readLoop() {
 	}
 }
 
-// isDead reports whether the conn can take new calls.
-func (cn *conn) isDead() bool {
+// complete hands a finished call to whoever awaits it. A sink delivery
+// blocks while the sink is full, until the session closes.
+func (cn *conn) complete(cl *call) {
+	if cn.sink == nil {
+		close(cl.done)
+		return
+	}
+	select {
+	case cn.sink <- cl:
+	case <-cn.stop:
+	}
+}
+
+// isDead reports whether the conn can no longer take new calls.
+func (cn *conn) isDead() bool { return cn.err() != nil }
+
+// err is why the conn stopped taking calls; nil while it is live.
+func (cn *conn) err() error {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	return cn.dead
+	return cn.deadErr
 }
 
 // fail marks the conn dead after a write failure and closes it; the
 // read loop then fails all pending calls.
 func (cn *conn) fail(err error) {
 	cn.mu.Lock()
-	if !cn.dead {
-		cn.dead = true
+	if cn.deadErr == nil {
 		cn.deadErr = err
 	}
 	cn.mu.Unlock()
@@ -457,8 +495,7 @@ func (cn *conn) fail(err error) {
 // close tears the conn down and fails every pending call with err.
 func (cn *conn) close(err error) {
 	cn.mu.Lock()
-	if !cn.dead {
-		cn.dead = true
+	if cn.deadErr == nil {
 		cn.deadErr = err
 	}
 	pending := cn.pending
@@ -467,24 +504,25 @@ func (cn *conn) close(err error) {
 	cn.c.Close()
 	for _, cl := range pending {
 		cl.err = err
-		close(cl.done)
+		cn.complete(cl)
 	}
 }
 
-// awaitResponse parks on the call and decodes its completion frame.
-func (cl *call) awaitResponse(ctx context.Context, cn *conn) (*serve.Response, error) {
+// await parks a pooled call until it completes or ctx ends, returning
+// the transport failure that completed it, if any.
+func (cl *call) await(ctx context.Context, cn *conn) error {
 	select {
 	case <-cl.done:
+		return cl.err
 	case <-ctx.Done():
 		cn.unregister(cl.id)
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return cl.decode()
 }
 
-// decode turns the completion frame into the (*Response, error) shape
-// of InferSync: response frames may still carry per-image errors,
-// error frames reconstruct the typed submission error.
+// decode turns the completion into the (*Response, error) shape of
+// InferSync: response frames may still carry per-image errors, error
+// frames reconstruct the typed submission error.
 func (cl *call) decode() (*serve.Response, error) {
 	if cl.err != nil {
 		return nil, cl.err

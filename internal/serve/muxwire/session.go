@@ -1,10 +1,8 @@
 package muxwire
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"sync"
 
 	"repro/internal/serve"
@@ -12,235 +10,102 @@ import (
 )
 
 // sessionOutBuffer bounds undelivered outcomes before TCP flow control
-// engages (see the muxSession comment).
+// engages (see the conn comment).
 const sessionOutBuffer = 1024
 
 // muxSession is the native DLW2 serve.Session: one pinned connection
-// (dialed outside the client's pool), Send writing request frames
-// back-to-back with no await, a dedicated read loop delivering
-// completion frames to Recv in arrival order.
+// (dialed outside the client's pool) whose read loop delivers
+// completed calls to a sink in arrival order. Send writes request
+// frames back-to-back through the same conn.send every pooled call
+// uses; Recv drains the sink and decodes each outcome.
 //
 // Backpressure is end-to-end and typed: a Send past the server's
 // session window is not blocked client-side — the server answers it
 // immediately with the overload error frame, which Recv surfaces as a
 // SessionResult whose Err is a *serve.OverloadedError carrying the
-// RetryAfter hint. If Recv stops draining, the buffered out channel
-// fills and the read loop stops reading — TCP flow control then
-// backpressures the server's writes without deadlocking other traffic
-// (the connection is exclusively this session's).
+// RetryAfter hint. If Recv stops draining, the sink fills and the read
+// loop stops reading, so TCP flow control backpressures the server.
 //
-// A transport failure mid-session fails every outstanding request
-// through Recv (one SessionResult per outstanding ID, Err wrapping the
-// underlying net error); the session does not transparently reconnect —
-// in-flight state cannot be rebuilt, so the caller opens a fresh
-// session and re-decides what to resend.
+// A server drain (goaway) refuses new sends with serve.ErrClosed while
+// outstanding completions still arrive. A transport failure
+// mid-session fails every outstanding request through Recv (one
+// SessionResult per outstanding ID, Err wrapping the underlying net
+// error), after which Recv returns the conn's terminal error; the
+// session does not transparently reconnect — in-flight state cannot be
+// rebuilt, so the caller opens a fresh session and re-decides what to
+// resend.
 type muxSession struct {
 	client *Client
 	cn     *conn
 	ctx    context.Context
-	out    chan serve.SessionResult
-	done   chan struct{}
-	// readDone closes when the read loop exits — after that no further
-	// outcome can ever arrive, so Recv must not park forever once out is
-	// drained.
-	readDone chan struct{}
-
-	mu          sync.Mutex
-	nextID      uint64
-	outstanding map[uint64]struct{}
-	closed      bool
-	goaway      bool  // server announced a drain: no new sends
-	termErr     error // why the read loop exited; Recv's verdict after out drains
-}
-
-func newMuxSession(ctx context.Context, c *Client, cn *conn) *muxSession {
-	s := &muxSession{
-		client:      c,
-		cn:          cn,
-		ctx:         ctx,
-		out:         make(chan serve.SessionResult, sessionOutBuffer),
-		done:        make(chan struct{}),
-		readDone:    make(chan struct{}),
-		outstanding: make(map[uint64]struct{}),
-	}
-	go s.readLoop()
-	return s
-}
-
-// readLoop delivers completion frames in arrival order until the
-// connection dies, then fails whatever is still outstanding.
-func (s *muxSession) readLoop() {
-	defer close(s.readDone)
-	br := bufio.NewReaderSize(s.cn.c, 64<<10)
-	for {
-		h, payload, err := readFrame(br)
-		if err != nil {
-			s.failOutstanding(transportError(s.client.addr, err))
-			return
-		}
-		switch h.typ {
-		case frameResponse, frameError:
-			s.mu.Lock()
-			_, known := s.outstanding[h.id]
-			delete(s.outstanding, h.id)
-			s.mu.Unlock()
-			if !known {
-				continue // late frame for an id we no longer track
-			}
-			sr := serve.SessionResult{ID: h.id}
-			if h.typ == frameResponse {
-				resp, derr := httpapi.DecodeResponse(bytes.NewReader(payload), httpapi.DefaultMaxBodyBytes/4)
-				if derr != nil {
-					sr.Err = derr
-				} else {
-					sr.Resp, sr.Err = resp, resp.Err()
-				}
-			} else {
-				sr.Err = httpapi.UnmarshalError(payload)
-			}
-			select {
-			case s.out <- sr:
-			case <-s.done:
-				return
-			}
-		case frameGoaway:
-			// Drain notice: outstanding completions still arrive; refuse
-			// new sends so the caller winds down and reopens elsewhere,
-			// and ack so the server can end the session once in-flight
-			// work drains.
-			s.mu.Lock()
-			s.goaway = true
-			s.mu.Unlock()
-			s.cn.ackGoaway()
-		default:
-			s.failOutstanding(transportError(s.client.addr, errUnknownFrameType))
-			return
-		}
-	}
-}
-
-// failOutstanding surfaces a dead connection as one errored
-// SessionResult per outstanding request.
-func (s *muxSession) failOutstanding(err error) {
-	s.mu.Lock()
-	ids := make([]uint64, 0, len(s.outstanding))
-	for id := range s.outstanding {
-		ids = append(ids, id)
-	}
-	s.outstanding = make(map[uint64]struct{})
-	s.goaway = true // the conn is gone; no new sends can succeed
-	if s.termErr == nil {
-		s.termErr = err
-	}
-	s.mu.Unlock()
-	for _, id := range ids {
-		select {
-		case s.out <- serve.SessionResult{ID: id, Err: err}:
-		case <-s.done:
-			return
-		}
-	}
+	once   sync.Once
 }
 
 // Send pipelines one request frame; it never awaits execution.
 func (s *muxSession) Send(req serve.Request) (uint64, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	select {
+	case <-s.cn.stop:
 		return 0, serve.ErrClosed
+	default:
 	}
-	if s.goaway {
-		s.mu.Unlock()
-		return 0, serve.ErrClosed
-	}
-	s.nextID++
-	id := s.nextID
-	s.outstanding[id] = struct{}{}
-	s.mu.Unlock()
 	if err := s.ctx.Err(); err != nil {
-		s.drop(id)
 		return 0, err
 	}
-	req = s.client.opts.Stamp(req)
 	var body bytes.Buffer
-	if err := httpapi.EncodeRequest(&body, req); err != nil {
-		s.drop(id)
+	if err := httpapi.EncodeRequest(&body, s.client.opts.Stamp(req)); err != nil {
 		return 0, err
 	}
-	if err := s.cn.writeFrame(frameRequest, id, body.Bytes()); err != nil {
-		s.drop(id)
-		if errors.Is(err, serve.ErrClosed) {
-			// Dead-conn abort: the goaway ack (or Close) won the race;
-			// nothing reached the wire and outstanding responses still
-			// stream in — do not tear the connection down.
-			return 0, serve.ErrClosed
-		}
-		if errors.Is(err, ErrPayloadTooLarge) {
-			// Refused before the wire: per-request failure, the pinned
-			// connection and everything in flight on it stay live.
-			return 0, err
-		}
-		s.cn.fail(err)
-		return 0, transportError(s.client.addr, err)
+	cl, err := s.cn.send(frameRequest, body.Bytes())
+	if err != nil {
+		return 0, err
 	}
-	return id, nil
-}
-
-// drop forgets an id that never made it onto the wire.
-func (s *muxSession) drop(id uint64) {
-	s.mu.Lock()
-	delete(s.outstanding, id)
-	s.mu.Unlock()
+	return cl.id, nil
 }
 
 // Recv delivers the next completion, in arrival (not submission) order.
-// Once the read loop has exited and buffered outcomes are drained, Recv
-// returns the transport error that killed the session (ErrClosed after
-// a clean drain) instead of parking forever on a pipe that can never
-// deliver again.
+// Once the read loop has exited and delivered outcomes are drained,
+// Recv returns the error that ended the connection (serve.ErrClosed
+// after a drain) instead of parking forever on a pipe that can never
+// deliver again. After Close it returns serve.ErrClosed.
 func (s *muxSession) Recv() (serve.SessionResult, error) {
 	select {
-	case sr := <-s.out:
-		return sr, nil
-	case <-s.done:
-		select {
-		case sr := <-s.out:
-			return sr, nil
-		default:
-			return serve.SessionResult{}, serve.ErrClosed
-		}
-	case <-s.readDone:
+	case <-s.cn.stop:
+		return serve.SessionResult{}, serve.ErrClosed
+	default:
+	}
+	select {
+	case cl := <-s.cn.sink:
+		return result(cl), nil
+	case <-s.cn.stop:
+		return serve.SessionResult{}, serve.ErrClosed
+	case <-s.cn.readDone:
 		// The read loop delivered everything it ever will before exiting,
 		// so a non-blocking drain cannot lose a result.
 		select {
-		case sr := <-s.out:
-			return sr, nil
+		case cl := <-s.cn.sink:
+			return result(cl), nil
 		default:
+			return serve.SessionResult{}, s.cn.err()
 		}
-		s.mu.Lock()
-		err := s.termErr
-		s.mu.Unlock()
-		if err == nil {
-			err = serve.ErrClosed
-		}
-		return serve.SessionResult{}, err
 	case <-s.ctx.Done():
 		return serve.SessionResult{}, s.ctx.Err()
 	}
 }
 
+// result decodes one completed call into its SessionResult.
+func result(cl *call) serve.SessionResult {
+	sr := serve.SessionResult{ID: cl.id}
+	sr.Resp, sr.Err = cl.decode()
+	return sr
+}
+
 // Close tears down the pinned connection; undelivered outcomes are
 // discarded and in-flight server work completes unobserved.
 func (s *muxSession) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.done)
-	s.cn.close(serve.ErrClosed)
+	s.once.Do(func() {
+		close(s.cn.stop)
+		s.cn.close(serve.ErrClosed)
+	})
 	return nil
 }
 

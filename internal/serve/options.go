@@ -24,11 +24,9 @@ import (
 // its variadic tail. Exported so transports outside this package
 // (httpapi, muxwire) can resolve and consume the same options.
 type ClientOptions struct {
-	// Timeout bounds each synchronous call (InferSync, Stats,
-	// Models) when the caller's ctx has no earlier deadline.
-	// Zero means no client-imposed deadline. Asynchronous Infer is
-	// governed by the caller's ctx alone — a fire-without-await
-	// submission has no natural point to stop the clock.
+	// Timeout bounds each call (InferSync, Stats, Models, and each
+	// request a pipelined Session sends) when the caller's ctx has no
+	// earlier deadline. Zero means no client-imposed deadline.
 	Timeout time.Duration
 	// Tenant is stamped onto every outgoing Request whose Tenant field
 	// is empty, so per-tenant deployments configure identity once at

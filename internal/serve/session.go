@@ -60,11 +60,12 @@ type SessionResult struct {
 // in-flight window, draining Recv) never touches it.
 const sessionResultBuffer = 1024
 
-// pipeSession adapts any Client's Infer into the Session contract: each
-// Send dispatches a goroutine that resolves the future and delivers the
+// pipeSession adapts any Client's InferSync into the Session contract:
+// each Send dispatches a goroutine that runs the call and delivers the
 // outcome. It is the Session implementation for LocalClient, the HTTP
 // client, and the cluster; muxwire replaces it with a true pinned
-// connection.
+// connection. Every request is bounded by the session ctx and by the
+// client's own timeout, exactly as a direct InferSync would be.
 type pipeSession struct {
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -78,7 +79,7 @@ type pipeSession struct {
 }
 
 // NewPipelinedSession builds a Session over any Client by pipelining
-// through its Infer path. The session is bound to ctx: cancelling it
+// through its InferSync path. The session is bound to ctx: cancelling it
 // fails subsequent Send/Recv calls with ctx's error.
 func NewPipelinedSession(ctx context.Context, c Client) (Session, error) {
 	if err := ctx.Err(); err != nil {
@@ -108,12 +109,7 @@ func (s *pipeSession) Send(req Request) (uint64, error) {
 	id := s.nextID.Add(1)
 	go func() {
 		sr := SessionResult{ID: id}
-		rf, err := s.c.Infer(s.ctx, req)
-		if err != nil {
-			sr.Err = err
-		} else {
-			sr.Resp, sr.Err = rf.Wait(s.ctx)
-		}
+		sr.Resp, sr.Err = s.c.InferSync(s.ctx, req)
 		select {
 		case s.out <- sr:
 		case <-s.done:
