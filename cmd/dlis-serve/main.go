@@ -808,7 +808,7 @@ func applyMemLimit(srv *dlis.Server, memlimitMB int) {
 	limit := int64(memlimitMB) << 20
 	if limit == 0 {
 		var replicaBytes float64
-		for _, st := range srv.AllStats() {
+		for _, st := range srv.Snapshot().Pools {
 			replicaBytes += float64(st.Replicas) * st.ReplicaMemoryMB * 1e6
 		}
 		limit = 2 * int64(replicaBytes)

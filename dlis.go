@@ -177,8 +177,6 @@ type (
 	ServerStack = serve.StackSpec
 	// ServeResult is the outcome of one single-image request.
 	ServeResult = serve.Result
-	// ServeFuture is the pending result of a submitted request.
-	ServeFuture = serve.Future
 	// ServeStats is a point-in-time pool statistics snapshot
 	// (throughput, p50/p99 latency, batch occupancy, queue depth).
 	ServeStats = serve.Stats
@@ -258,7 +256,8 @@ func DefaultServerConfig() ServerConfig { return serve.DefaultConfig() }
 type (
 	// Client is the transport-agnostic serving API: InferSync with a
 	// Request (one or more images), plus Stats, Models, Session and
-	// Close. Session is the way to keep many requests in flight.
+	// Close. Session is the way to keep many requests in flight. Every
+	// call is bounded by its ctx, and Request.Tenant carries identity.
 	Client = serve.Client
 	// Request is one inference request: Target (pool or endpoint
 	// routing name), Images (one or more C×H×W inputs) and an optional
@@ -296,7 +295,7 @@ type (
 	SessionResult = serve.SessionResult
 	// ClientOption is a functional constructor option shared by every
 	// client transport (NewLocalClient, NewHTTPClient, NewMuxClient,
-	// DialBackend): WithTimeout, WithTenant, WithPoolSize.
+	// DialBackend): WithPoolSize.
 	ClientOption = serve.ClientOption
 	// MuxClient is the remote Client over DLW2 — one persistent TCP
 	// connection (a small pool of them) carrying many in-flight
@@ -316,18 +315,7 @@ type (
 // Functional client options, unified across transports. Each transport
 // ignores options it has no use for (PoolSize on a LocalClient, say).
 //
-//	c := dlis.NewMuxClient("backend:18091",
-//	    dlis.WithTimeout(2*time.Second),
-//	    dlis.WithTenant("batch-jobs"),
-//	    dlis.WithPoolSize(4))
-
-// WithTimeout bounds each synchronous call (InferSync, Stats, Models)
-// when the caller's ctx carries no earlier deadline.
-func WithTimeout(d time.Duration) ClientOption { return serve.WithTimeout(d) }
-
-// WithTenant stamps a default tenant identity on requests that do not
-// set one.
-func WithTenant(id string) ClientOption { return serve.WithTenant(id) }
+//	c := dlis.NewMuxClient("backend:18091", dlis.WithPoolSize(4))
 
 // WithPoolSize sizes a connection-pooling transport's pool.
 func WithPoolSize(n int) ClientOption { return serve.WithPoolSize(n) }
@@ -411,8 +399,7 @@ func NewLocalClient(srv *Server, opts ...ClientOption) *LocalClient {
 }
 
 // NewHTTPClient targets a dlis HTTP server at base (e.g.
-// "http://host:8080"); per-call deadlines come from the ctx or
-// WithTimeout.
+// "http://host:8080"); per-call deadlines come from the ctx.
 func NewHTTPClient(base string, opts ...ClientOption) *HTTPClient {
 	return httpapi.NewClient(base, opts...)
 }
@@ -454,7 +441,7 @@ func WithProbeInterval(d time.Duration) ClusterOption { return cluster.WithProbe
 // automatically when they come up. Health-check tuning rides in the
 // options tail.
 func NewCluster(members []ClusterMember, opts ...ClusterOption) (*Cluster, error) {
-	return cluster.NewWithOptions(members, opts...)
+	return cluster.New(members, opts...)
 }
 
 // Declarative fleet configuration (see internal/serve/fleetcfg and

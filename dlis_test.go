@@ -211,7 +211,7 @@ func TestServerPublicAPI(t *testing.T) {
 	}
 	wg.Wait()
 	srv.Close()
-	for stack, st := range srv.AllStats() {
+	for stack, st := range srv.Snapshot().Pools {
 		if st.Completed != 6 || st.Failed != 0 {
 			t.Fatalf("%s: %d completed / %d failed, want 6/0", stack, st.Completed, st.Failed)
 		}
@@ -264,8 +264,8 @@ func TestEndpointPublicAPI(t *testing.T) {
 	}
 	defer srv.Close()
 	ctx := context.Background()
-	if got := srv.Endpoints(); len(got) != 1 || got[0] != "vgg" {
-		t.Fatalf("endpoints = %v", got)
+	if ms := srv.Models(); len(ms) == 0 || ms[0].Name != "vgg" || ms[0].Kind != "endpoint" {
+		t.Fatalf("models = %+v, want the vgg endpoint first", ms)
 	}
 	rf, err := srv.Do(ctx, Request{
 		Target: "vgg", Images: []*Tensor{NewImage(1, 32, 32, 3)},
@@ -287,11 +287,9 @@ func TestEndpointPublicAPI(t *testing.T) {
 	if !res.Output.AllFinite() || res.Output.NumElements() != 10 {
 		t.Fatalf("implausible logits %v", res.Output)
 	}
-	st, err := srv.EndpointStats("vgg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Variants) != 3 || st.Routed != 1 {
+	snap := srv.Snapshot()
+	st := snap.Endpoints["vgg"]
+	if len(snap.Endpoints) != 1 || len(st.Variants) != 3 || st.Routed != 1 {
 		t.Fatalf("endpoint stats = %+v, want 3 variants / 1 routed", st)
 	}
 	var sawPlain bool
@@ -303,8 +301,8 @@ func TestEndpointPublicAPI(t *testing.T) {
 	if !sawPlain {
 		t.Fatal("routed request not attributed to the plain variant")
 	}
-	if all := srv.AllStats(); all["vgg/plain"].Routed != 1 {
-		t.Fatalf("AllStats missing routed traffic: %+v", all["vgg/plain"])
+	if ps := srv.Snapshot().Pools["vgg/plain"]; ps.Routed != 1 {
+		t.Fatalf("pool snapshot missing routed traffic: %+v", ps)
 	}
 }
 
@@ -401,16 +399,21 @@ func TestClientPublicAPI(t *testing.T) {
 		}
 	}
 
-	// The unified option vocabulary: the same slice configures any
-	// transport, and a stamped tenant is visible in the server's meter.
-	opts := []ClientOption{WithTimeout(5 * time.Second), WithTenant("opted"), WithPoolSize(2)}
-	stamped := NewMuxClient(ln.Addr().String(), opts...)
-	if _, err := stamped.InferSync(ctx, req); err != nil {
-		t.Fatal(err)
+	// The unified option vocabulary: the same slice configures either
+	// transport DialBackend picks, and the Request's tenant is what
+	// the server's meter sees over each.
+	opts := []ClientOption{WithPoolSize(2)}
+	tenanted := req
+	tenanted.Tenant = "opted"
+	for _, addr := range []string{ts.URL, DLW2Scheme + "://" + ln.Addr().String()} {
+		c := DialBackend(addr, opts...)
+		if _, err := c.InferSync(ctx, tenanted); err != nil {
+			t.Fatalf("%s: %v", addr, err)
+		}
+		c.Close()
 	}
-	stamped.Close()
-	if st, err := local.Stats(ctx); err != nil || st.Tenants["opted"].Requests == 0 {
-		t.Fatalf("WithTenant stamp not metered: tenants %+v, %v", st.Tenants, err)
+	if st, err := local.Stats(ctx); err != nil || st.Tenants["opted"].Requests != 2 {
+		t.Fatalf("request tenant not metered over both transports: tenants %+v, %v", st.Tenants, err)
 	}
 
 	// Discovery parity: both transports list the same targets.

@@ -89,10 +89,10 @@ func (r *Response) Err() error {
 }
 
 // ResponseFuture is the pending Response of a Request that Server.Do
-// accepted: the per-image futures coalescing in the batcher. Like
-// Future it resolves once and stays resolved: Wait is idempotent.
+// accepted: the per-image futures coalescing in the batcher. It
+// resolves once and stays resolved: Wait is idempotent.
 type ResponseFuture struct {
-	futs []*Future
+	futs []*future
 }
 
 // Wait blocks until every image in the request has resolved or ctx is
@@ -107,7 +107,7 @@ func (rf *ResponseFuture) Wait(ctx context.Context) (*Response, error) {
 	for i, f := range rf.futs {
 		// Per-image failures surface through Result.Err, not the Wait
 		// error: keep aggregating so the response is complete.
-		r, err := f.Wait(ctx)
+		r, err := f.wait(ctx)
 		if err != nil && r.Err == nil {
 			return nil, err // ctx abort
 		}
@@ -191,7 +191,7 @@ func (s *Server) Do(ctx context.Context, req Request) (*ResponseFuture, error) {
 // transport: the ID is validated, the quota gate runs before any
 // placement work, and admission outcomes (admitted images, overload
 // sheds) are recorded against the tenant.
-func (s *Server) submitRequest(ctx context.Context, req Request) ([]*Future, error) {
+func (s *Server) submitRequest(ctx context.Context, req Request) ([]*future, error) {
 	if err := tenant.ValidateID(req.Tenant); err != nil {
 		return nil, err
 	}
@@ -214,7 +214,7 @@ func (s *Server) submitRequest(ctx context.Context, req Request) ([]*Future, err
 
 // placeRequest routes one quota-admitted Request onto a pool or
 // endpoint.
-func (s *Server) placeRequest(ctx context.Context, req Request) ([]*Future, error) {
+func (s *Server) placeRequest(ctx context.Context, req Request) ([]*future, error) {
 	if ep, ok := s.endpoints[req.Target]; ok {
 		return ep.routeMany(req.Tenant, req.Images, req.SLO)
 	}
@@ -273,10 +273,18 @@ func (s *Server) Models() []ModelInfo {
 }
 
 // Snapshot assembles the whole-server statistics view Client.Stats
-// serves: AllStats for the pools plus every endpoint's per-variant
-// breakdown.
+// serves: every pool keyed by routing name (pools backing endpoint
+// variants carry their routed/shed counters), every endpoint's
+// per-variant breakdown, and the per-tenant usage.
 func (s *Server) Snapshot() ServerStats {
-	st := ServerStats{Pools: s.AllStats()}
+	st := ServerStats{Pools: make(map[string]Stats, len(s.pools))}
+	for name, p := range s.pools {
+		if v, ok := s.variants[name]; ok {
+			st.Pools[name] = v.stats().Pool
+			continue
+		}
+		st.Pools[name] = p.snapshot()
+	}
 	if len(s.endpointNames) > 0 {
 		st.Endpoints = make(map[string]EndpointStats, len(s.endpointNames))
 		for _, name := range s.endpointNames {
@@ -293,30 +301,26 @@ func (s *Server) Snapshot() ServerStats {
 // *Server the same surface remote transports present, so code written
 // against Client runs unchanged in either deployment.
 type LocalClient struct {
-	srv  *Server
-	opts ClientOptions
+	srv *Server
 }
 
 // NewLocalClient wraps a running server. The client assumes ownership
-// for Close: closing the client gracefully drains the server. Options
-// follow the transport-unified vocabulary: WithTenant stamps a default
-// tenant, WithTimeout bounds the synchronous calls; pool-related
-// options are accepted and ignored (there is no connection).
-func NewLocalClient(srv *Server, opts ...ClientOption) *LocalClient {
-	return &LocalClient{srv: srv, opts: BuildClientOptions(opts...)}
+// for Close: closing the client gracefully drains the server. The
+// option tail is the one every transport accepts; a LocalClient has no
+// connection to pool, so it ignores the options.
+func NewLocalClient(srv *Server, _ ...ClientOption) *LocalClient {
+	return &LocalClient{srv: srv}
 }
 
 // Server exposes the wrapped server, for callers that need
-// local-only facilities (InputShape, per-pool Stats) next to the
+// local-only facilities (InputShape, TenantUsageSnapshot) next to the
 // portable interface.
 func (c *LocalClient) Server() *Server { return c.srv }
 
 // InferSync submits the request on the in-process path and waits for
-// it, bounded by the client's timeout.
+// it, bounded by ctx.
 func (c *LocalClient) InferSync(ctx context.Context, req Request) (*Response, error) {
-	ctx, cancel := c.opts.Deadline(ctx)
-	defer cancel()
-	rf, err := c.srv.Do(ctx, c.opts.Stamp(req))
+	rf, err := c.srv.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}

@@ -154,71 +154,46 @@ func TestClientModelsAndStats(t *testing.T) {
 	}
 }
 
-// TestFutureRewait pins the re-wait semantics satellite: a consumed
-// future must answer again — a second Wait, a Wait retried after a ctx
-// abort, and a post-resolution Done/Result all observe the cached
-// Result instead of blocking forever.
+// TestFutureRewait pins the re-wait semantics: a resolved request must
+// answer again — a second Wait on the same ResponseFuture, and a Wait
+// retried after a ctx abort, both observe the cached Response instead
+// of blocking forever.
 func TestFutureRewait(t *testing.T) {
 	s := newTestServer(t, Config{
 		Stacks:   []StackSpec{{Name: "m", Stack: miniStack("mini-mobilenet")}},
 		Replicas: 1, MaxBatch: 1, MaxDelay: time.Millisecond,
 	})
 	ctx := context.Background()
-	f, err := doSubmit(ctx, s, "m", testImage(1), SLO{})
+	rf, err := s.Do(ctx, Request{Target: "m", Images: []*tensor.Tensor{testImage(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.Wait(ctx)
+	first, err := rf.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The regression this satellite fixes: the second Wait used to find
-	// an empty channel and block until its ctx fired.
-	again, err := f.Wait(ctx)
+	// The second Wait must not find a consumed signal and block until
+	// its ctx fires.
+	again, err := rf.Wait(ctx)
 	if err != nil {
-		t.Fatalf("re-wait on a consumed future: %v", err)
+		t.Fatalf("re-wait on a resolved ResponseFuture: %v", err)
 	}
-	if again.Class != first.Class || again.Output != first.Output {
-		t.Fatalf("re-wait returned a different result: %+v vs %+v", again, first)
-	}
-	// Done is a broadcast, not a consumed value: repeat selects see it.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-f.Done():
-		default:
-			t.Fatalf("Done select %d found an unresolved future", i)
-		}
-	}
-	if got := f.Result(); got.Class != first.Class {
-		t.Fatalf("Result() = %+v, want the delivered result", got)
+	if again.First().Class != first.First().Class || again.First().Output != first.First().Output {
+		t.Fatalf("re-wait returned a different result: %+v vs %+v", again.First(), first.First())
 	}
 
 	// A waiter that aborted on ctx can come back for the answer.
-	f2, err := doSubmit(ctx, s, "m", testImage(2), SLO{})
+	rf2, err := s.Do(ctx, Request{Target: "m", Images: []*tensor.Tensor{testImage(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gone, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := f2.Wait(gone); !errors.Is(err, context.Canceled) {
+	if _, err := rf2.Wait(gone); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait under cancelled ctx: %v", err)
 	}
-	if _, err := f2.Wait(ctx); err != nil {
+	if _, err := rf2.Wait(ctx); err != nil {
 		t.Fatalf("re-wait after ctx abort: %v", err)
-	}
-
-	// The aggregate future inherits the idempotence.
-	rf, err := s.Do(ctx, Request{Target: "m", Images: []*tensor.Tensor{testImage(3)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := rf.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := rf.Wait(ctx)
-	if err != nil || r2.First().Class != r1.First().Class {
-		t.Fatalf("response re-wait = %+v, %v", r2, err)
 	}
 }
 
@@ -236,7 +211,7 @@ func TestSubmitCancelReclaimsQueueSlot(t *testing.T) {
 		imgLen: 3 * 32 * 32,
 	}
 	ctx := context.Background()
-	if _, err := p.submit(ctx, "", testImage(1)); err != nil {
+	if _, err := p.submitMany(ctx, "", []*tensor.Tensor{testImage(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.pending.Load(); got != 1 {
@@ -247,7 +222,7 @@ func TestSubmitCancelReclaimsQueueSlot(t *testing.T) {
 	// only leave through its (already cancelled) context.
 	gone, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := p.submit(gone, "", testImage(2)); !errors.Is(err, context.Canceled) {
+	if _, err := p.submitMany(gone, "", []*tensor.Tensor{testImage(2)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("submit into a full queue under cancelled ctx: err = %v", err)
 	}
 	if got := p.pending.Load(); got != 1 {
@@ -262,11 +237,11 @@ func TestSubmitCancelReclaimsQueueSlot(t *testing.T) {
 
 	// The reclaimed capacity is really usable: admission-controlled
 	// submission at the cap boundary still sees exactly one slot taken.
-	if _, err := p.trySubmit("", testImage(3)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("trySubmit at cap: err = %v, want ErrOverloaded (cap 1 already held)", err)
+	if _, err := p.trySubmitMany("", []*tensor.Tensor{testImage(3)}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("trySubmitMany at cap: err = %v, want ErrOverloaded (cap 1 already held)", err)
 	}
 	if got := p.pending.Load(); got != 1 {
-		t.Fatalf("pending after shed trySubmit = %d, want 1", got)
+		t.Fatalf("pending after shed trySubmitMany = %d, want 1", got)
 	}
 }
 
@@ -294,18 +269,22 @@ func TestDefaultConfigFullyResolved(t *testing.T) {
 	}
 }
 
-// TestLocalSessionHonoursClientTimeout pins the uniform timeout rule:
-// a pipelined session sends each request through InferSync, so a
-// client built WithTimeout bounds every session request exactly as it
-// bounds a direct call. The batching window holds the lone request far
-// past the timeout, so its outcome must be the deadline.
+// TestLocalSessionHonoursClientTimeout pins the uniform deadline rule:
+// a pipelined session sends each request through InferSync under the
+// session's ctx, so a deadline on the ctx passed to Session bounds
+// every session request exactly as it bounds a direct call. The
+// batching window holds the lone request far past the deadline, so
+// Recv must report context.DeadlineExceeded — either as the request's
+// outcome or as the session's own error, whichever the race delivers.
 func TestLocalSessionHonoursClientTimeout(t *testing.T) {
 	s := newTestServer(t, Config{
 		Stacks:   []StackSpec{{Name: "m", Stack: miniStack("mini-mobilenet")}},
 		Replicas: 1, MaxBatch: 4, MaxDelay: time.Second,
 	})
-	c := NewLocalClient(s, WithTimeout(50*time.Millisecond))
-	sess, err := c.Session(context.Background())
+	c := NewLocalClient(s)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	sess, err := c.Session(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +295,16 @@ func TestLocalSessionHonoursClientTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr, err := sess.Recv()
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		if sr.ID != id {
+			t.Fatalf("session result id %d, want %d", sr.ID, id)
+		}
+		err = sr.Err
 	}
-	if sr.ID != id || !errors.Is(sr.Err, context.DeadlineExceeded) {
-		t.Fatalf("session result = %+v, want id %d with context.DeadlineExceeded", sr, id)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Recv = %+v, %v; want context.DeadlineExceeded", sr, err)
 	}
 	if took := time.Since(start); took > 500*time.Millisecond {
-		t.Fatalf("timed-out request took %v; the 50ms client timeout did not bound it", took)
+		t.Fatalf("timed-out request took %v; the 50ms session deadline did not bound it", took)
 	}
 }

@@ -16,7 +16,7 @@
 //	                   retry, not an error
 //
 // The member table is health-checked: a background prober snapshots
-// every member's Stats() each ProbeInterval (also refreshing the
+// every member's Stats() each probe interval (also refreshing the
 // models it advertises via Models() and the observed queue depth the
 // placement reads). A failed probe — or a transport failure on the
 // request path — ejects the member; ejected members are re-probed on an
@@ -53,48 +53,18 @@ type Member struct {
 	Client serve.Client
 }
 
-// Config tunes the cluster's health checking. The zero value of every
-// field is replaced by its default.
-type Config struct {
-	// ProbeInterval is the cadence of the background health prober.
-	// 0 uses DefaultProbeInterval; a negative value disables the
-	// background prober entirely (tests drive probes explicitly).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one member's Stats/Models probe round trip.
-	// 0 uses DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-	// BackoffBase is the first re-probe delay after an ejection; each
-	// further failed probe doubles it up to BackoffMax. 0 uses
-	// DefaultBackoffBase / DefaultBackoffMax.
-	BackoffBase time.Duration
-	// BackoffMax caps the re-probe backoff.
-	BackoffMax time.Duration
-}
-
-// Health-checking defaults.
+// Health-checking cadence and bounds.
 const (
+	// DefaultProbeInterval is the background prober's cadence unless
+	// WithProbeInterval sets another.
 	DefaultProbeInterval = 250 * time.Millisecond
-	DefaultProbeTimeout  = 2 * time.Second
-	DefaultBackoffBase   = 250 * time.Millisecond
-	DefaultBackoffMax    = 5 * time.Second
+	// probeTimeout bounds one member's Stats/Models probe round trip.
+	probeTimeout = 2 * time.Second
+	// backoffBase is the first re-probe delay after an ejection; each
+	// further failed probe doubles it up to backoffMax.
+	backoffBase = 250 * time.Millisecond
+	backoffMax  = 5 * time.Second
 )
-
-// withDefaults resolves zero tuning fields.
-func (c Config) withDefaults() Config {
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = DefaultProbeInterval
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = DefaultBackoffMax
-	}
-	return c
-}
 
 // member is one fleet entry: the backend client plus the health and
 // load bookkeeping the placement and the prober share.
@@ -106,7 +76,7 @@ type member struct {
 	// and the request-path failure handler flip it under mu.
 	healthy atomic.Bool
 	// probing serialises background probes per member: a probe pinned
-	// at ProbeTimeout must not accumulate duplicates behind it.
+	// at probeTimeout must not accumulate duplicates behind it.
 	probing atomic.Bool
 
 	mu        sync.RWMutex
@@ -165,8 +135,10 @@ func (m *member) load() int64 {
 // with New; it satisfies serve.Client, so anything that drives one
 // server — including the dlis-serve load generator — drives the fleet.
 type Cluster struct {
-	cfg     Config
-	members []*member
+	// probeInterval is the background prober's cadence; negative
+	// disables the prober (tests drive probes explicitly).
+	probeInterval time.Duration
+	members       []*member
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -184,11 +156,19 @@ type Cluster struct {
 // the health loop. It returns an error only for an empty or
 // inconsistent member list — an unreachable fleet is a health state,
 // not a construction failure.
-func New(cfg Config, members ...Member) (*Cluster, error) {
+func New(members []Member, opts ...Option) (*Cluster, error) {
 	if len(members) == 0 {
 		return nil, errors.New("cluster: no members configured")
 	}
-	c := &Cluster{cfg: cfg.withDefaults(), stop: make(chan struct{})}
+	c := &Cluster{stop: make(chan struct{})}
+	for _, opt := range opts {
+		if opt != nil {
+			opt(c)
+		}
+	}
+	if c.probeInterval == 0 {
+		c.probeInterval = DefaultProbeInterval
+	}
 	seen := make(map[string]bool, len(members))
 	for i, spec := range members {
 		if spec.Client == nil {
@@ -205,7 +185,7 @@ func New(cfg Config, members ...Member) (*Cluster, error) {
 		c.members = append(c.members, &member{name: name, client: spec.Client})
 	}
 	c.probeAll(context.Background())
-	if c.cfg.ProbeInterval > 0 {
+	if c.probeInterval > 0 {
 		c.wg.Add(1)
 		go c.probeLoop()
 	}
@@ -415,7 +395,7 @@ func (c *Cluster) InferSync(ctx context.Context, req serve.Request) (*serve.Resp
 // soonest a re-admission could change the answer.
 func (c *Cluster) overloaded(target string, retry time.Duration) *serve.OverloadedError {
 	if retry <= 0 {
-		retry = c.cfg.ProbeInterval
+		retry = c.probeInterval
 		if retry <= 0 {
 			retry = DefaultProbeInterval
 		}

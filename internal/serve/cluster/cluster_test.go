@@ -88,11 +88,9 @@ func (f *fakeBackend) Close() error {
 
 var _ serve.Client = (*fakeBackend)(nil)
 
-// testConfig disables the background prober (tests drive probeAll
-// explicitly) and keeps backoffs tiny.
-func testConfig() Config {
-	return Config{ProbeInterval: -1, ProbeTimeout: time.Second, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}
-}
+// noProber disables the background prober: tests drive probeAll
+// explicitly, and probeAll ignores the re-probe backoff.
+var noProber = WithProbeInterval(-1)
 
 func testReq(target string) serve.Request {
 	img := tensor.New(3, 32, 32)
@@ -118,7 +116,7 @@ func memberStats(t *testing.T, c *Cluster, name string) MemberStats {
 func TestPlacementPrefersLeastLoaded(t *testing.T) {
 	busy := newFakeBackend(10, "m")
 	idle := newFakeBackend(0, "m")
-	c, err := New(testConfig(), Member{Name: "busy", Client: busy}, Member{Name: "idle", Client: idle})
+	c, err := New([]Member{{Name: "busy", Client: busy}, {Name: "idle", Client: idle}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestOverloadFailsOverThenSurfacesMinRetryAfter(t *testing.T) {
 	a.set(func(f *fakeBackend) {
 		f.inferErr = &serve.OverloadedError{Stack: "m", RetryAfter: 40 * time.Millisecond}
 	})
-	c, err := New(testConfig(), Member{Name: "a", Client: a}, Member{Name: "b", Client: b})
+	c, err := New([]Member{{Name: "a", Client: a}, {Name: "b", Client: b}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +210,7 @@ func TestOverloadWithoutAlternative(t *testing.T) {
 	only.set(func(f *fakeBackend) {
 		f.inferErr = &serve.OverloadedError{Stack: "m", RetryAfter: 7 * time.Millisecond}
 	})
-	c, err := New(testConfig(), Member{Name: "only", Client: only})
+	c, err := New([]Member{{Name: "only", Client: only}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +238,7 @@ func TestOverloadWithoutAlternative(t *testing.T) {
 func TestEjectionAndReadmission(t *testing.T) {
 	flaky := newFakeBackend(0, "m")
 	steady := newFakeBackend(0, "m")
-	c, err := New(testConfig(), Member{Name: "flaky", Client: flaky}, Member{Name: "steady", Client: steady})
+	c, err := New([]Member{{Name: "flaky", Client: flaky}, {Name: "steady", Client: steady}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +300,7 @@ func TestMidflightDeathFailsOver(t *testing.T) {
 	dying.set(func(f *fakeBackend) {
 		f.inferErr = &url.Error{Op: "Post", URL: "http://dying/v1/infer", Err: io.EOF}
 	})
-	c, err := New(testConfig(), Member{Name: "dying", Client: dying}, Member{Name: "alive", Client: alive})
+	c, err := New([]Member{{Name: "dying", Client: dying}, {Name: "alive", Client: alive}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func TestMidflightDeathFailsOver(t *testing.T) {
 func TestErrorContracts(t *testing.T) {
 	a := newFakeBackend(0, "m")
 	b := newFakeBackend(0, "m")
-	c, err := New(testConfig(), Member{Name: "a", Client: a}, Member{Name: "b", Client: b})
+	c, err := New([]Member{{Name: "a", Client: a}, {Name: "b", Client: b}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +400,7 @@ func TestErrorContracts(t *testing.T) {
 func TestUnreachableFleetIsRetryable(t *testing.T) {
 	down := newFakeBackend(0, "m")
 	down.set(func(f *fakeBackend) { f.probeErr = errors.New("probe: connection refused") })
-	c, err := New(testConfig(), Member{Name: "down", Client: down})
+	c, err := New([]Member{{Name: "down", Client: down}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +425,7 @@ func TestStaleTargetEntrySkipsWithoutEjection(t *testing.T) {
 	stale := newFakeBackend(0, "m")
 	fresh := newFakeBackend(5, "m")
 	stale.set(func(f *fakeBackend) { f.inferErr = fmt.Errorf("%w: %q", serve.ErrUnknownTarget, "m") })
-	c, err := New(testConfig(), Member{Name: "stale", Client: stale}, Member{Name: "fresh", Client: fresh})
+	c, err := New([]Member{{Name: "stale", Client: stale}, {Name: "fresh", Client: fresh}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,10 +494,10 @@ func TestClusterOverRealServers(t *testing.T) {
 		return s
 	}
 	s1, s2 := newServer(), newServer()
-	c, err := New(Config{ProbeInterval: 50 * time.Millisecond},
-		Member{Name: "s1", Client: serve.NewLocalClient(s1)},
-		Member{Name: "s2", Client: serve.NewLocalClient(s2)},
-	)
+	c, err := New([]Member{
+		{Name: "s1", Client: serve.NewLocalClient(s1)},
+		{Name: "s2", Client: serve.NewLocalClient(s2)},
+	}, WithProbeInterval(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,15 @@ import (
 // Health checking: the prober keeps the member table live. Each probe
 // is one Stats round trip (the load snapshot placement reads) plus one
 // Models round trip (the advertised-target refresh), bounded together
-// by ProbeTimeout. Healthy members are probed every ProbeInterval;
+// by probeTimeout. Healthy members are probed every probe interval;
 // ejected members are re-probed on an exponential backoff from
-// BackoffBase to BackoffMax, and the first success re-admits them with
+// backoffBase to backoffMax, and the first success re-admits them with
 // a fresh table.
 
 // probeLoop drives the probe cadence until Close.
 func (c *Cluster) probeLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
+	t := time.NewTicker(c.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -36,7 +36,7 @@ func (c *Cluster) probeLoop() {
 // members always, ejected members once their backoff has elapsed.
 // Probes run as independent goroutines guarded by a per-member
 // in-flight flag and probeDue does NOT wait for them, so one hung
-// backend (a probe pinned at ProbeTimeout) neither stalls the other
+// backend (a probe pinned at probeTimeout) neither stalls the other
 // members' cadence nor piles up duplicate probes on itself.
 func (c *Cluster) probeDue(ctx context.Context) {
 	now := time.Now()
@@ -74,7 +74,7 @@ func (c *Cluster) probeAll(ctx context.Context) {
 // probe runs one health check against a member and applies the verdict
 // to the table.
 func (c *Cluster) probe(ctx context.Context, m *member) {
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	st, err := m.client.Stats(pctx)
 	if err != nil {
@@ -139,13 +139,13 @@ func (c *Cluster) noteFailure(m *member) {
 	if m.healthy.Load() {
 		m.healthy.Store(false)
 		m.ejections.Add(1)
-		m.backoff = c.cfg.BackoffBase
-	} else if m.backoff < c.cfg.BackoffMax {
+		m.backoff = backoffBase
+	} else if m.backoff < backoffMax {
 		m.backoff *= 2
-		if m.backoff > c.cfg.BackoffMax {
-			m.backoff = c.cfg.BackoffMax
+		if m.backoff > backoffMax {
+			m.backoff = backoffMax
 		} else if m.backoff <= 0 {
-			m.backoff = c.cfg.BackoffBase
+			m.backoff = backoffBase
 		}
 	}
 	m.nextProbe = time.Now().Add(m.backoff)

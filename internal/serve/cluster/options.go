@@ -7,32 +7,14 @@ import (
 	"repro/internal/serve"
 )
 
-// Functional options over Config, mirroring the serve.ClientOption
-// vocabulary on the transports: call sites that prefer option style
-// over config-struct literals use NewWithOptions. New(cfg, members...)
-// remains the config-struct form underneath — every option is a one-line
-// setter over the same Config.
+// Option tunes a Cluster at construction (see New).
+type Option func(*Cluster)
 
-// Option tunes a Cluster at construction.
-type Option func(*Config)
-
-// WithProbeInterval sets the background health-prober cadence; a
-// negative value disables the background prober (tests drive probes
-// explicitly).
+// WithProbeInterval sets the background health-prober cadence: 0 keeps
+// DefaultProbeInterval, and a negative value disables the background
+// prober (tests drive probes explicitly).
 func WithProbeInterval(d time.Duration) Option {
-	return func(c *Config) { c.ProbeInterval = d }
-}
-
-// NewWithOptions is the option-style constructor: a fleet of members
-// plus tuning options, defaults for everything unset.
-func NewWithOptions(members []Member, opts ...Option) (*Cluster, error) {
-	var cfg Config
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
-	}
-	return New(cfg, members...)
+	return func(c *Cluster) { c.probeInterval = d }
 }
 
 // Session opens a pipelined session over the cluster. Placement stays

@@ -26,7 +26,7 @@ func TestQuotaNeverCrossRetried(t *testing.T) {
 	a.set(func(f *fakeBackend) {
 		f.inferErr = &serve.QuotaError{Tenant: "capped", Resource: "requests", RetryAfter: 25 * time.Millisecond}
 	})
-	c, err := New(testConfig(), Member{Name: "a", Client: a}, Member{Name: "b", Client: b})
+	c, err := New([]Member{{Name: "a", Client: a}, {Name: "b", Client: b}}, noProber)
 	if err != nil {
 		t.Fatal(err)
 	}

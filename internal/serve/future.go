@@ -31,53 +31,33 @@ type Result struct {
 	Err error
 }
 
-// Future is the pending result of a submitted request. A Future
-// resolves exactly once and then stays resolved: Wait and Done are
-// idempotent, so any number of callers (and repeat calls) observe the
-// same Result.
-type Future struct {
+// future is the pending result of one queued image. It resolves
+// exactly once and then stays resolved: wait is idempotent, so a
+// repeat (or a wait retried after a ctx abort) observes the same
+// Result.
+type future struct {
 	res  Result
 	done chan struct{} // closed after res is written, publishing it
 }
 
 // newFuture allocates an unresolved future.
-func newFuture() *Future { return &Future{done: make(chan struct{})} }
+func newFuture() *future { return &future{done: make(chan struct{})} }
 
 // resolve delivers the result; callers guarantee exactly one call. The
 // write-then-close order publishes res to every waiter (channel close
-// is a release/acquire pair with the receive in Wait/Done).
-func (f *Future) resolve(r Result) {
+// is a release/acquire pair with the receive in wait).
+func (f *future) resolve(r Result) {
 	f.res = r
 	close(f.done)
 }
 
-// Wait blocks until the result is available or ctx is done. The result
-// is cached on the future, not consumed: a second Wait (or a Wait
-// retried after a ctx abort) returns the same Result immediately.
-// A Result carrying an execution failure is returned alongside its Err.
-func (f *Future) Wait(ctx context.Context) (Result, error) {
+// wait blocks until the result is available or ctx is done. A Result
+// carrying an execution failure is returned alongside its Err.
+func (f *future) wait(ctx context.Context) (Result, error) {
 	select {
 	case <-f.done:
 		return f.res, f.res.Err
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
-	}
-}
-
-// Done returns a channel closed once the future has resolved, for
-// callers who want to select across many futures; read the outcome
-// with Result afterwards. Unlike a value-carrying channel, the signal
-// is not consumed — every selector (and repeat select) sees it.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Result returns the delivered result. It must only be called after
-// Done's channel has closed (a successful Wait implies that); before
-// resolution it returns the zero Result.
-func (f *Future) Result() Result {
-	select {
-	case <-f.done:
-		return f.res
-	default:
-		return Result{}
 	}
 }

@@ -22,22 +22,20 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	opts serve.ClientOptions
 }
 
 // NewClient targets a server at base, e.g. "http://host:8080" (a bare
 // "host:8080" gets the http scheme). The zero http.Client underneath
-// has no request timeout — per-call deadlines come from the ctx (or
-// serve.WithTimeout), which must bound slow calls the same way they do
-// in-process. Options follow the transport-unified vocabulary
-// (serve.WithTimeout, serve.WithTenant); pool options are ignored —
-// net/http manages its own keep-alive pool.
-func NewClient(base string, opts ...serve.ClientOption) *Client {
+// has no request timeout — per-call deadlines come from the ctx, which
+// must bound slow calls the same way it does in-process. The option
+// tail is the one every transport accepts; net/http manages its own
+// keep-alive pool, so the pool-size option is ignored.
+func NewClient(base string, _ ...serve.ClientOption) *Client {
 	base = strings.TrimRight(base, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return &Client{base: base, hc: &http.Client{}, opts: serve.BuildClientOptions(opts...)}
+	return &Client{base: base, hc: &http.Client{}}
 }
 
 // remoteError preserves the server-rendered message while unwrapping
@@ -55,9 +53,6 @@ func (e *remoteError) Unwrap() error { return e.sentinel }
 // in-process path it returns the Response alongside the first
 // per-image execution error, so partial results stay inspectable.
 func (c *Client) InferSync(ctx context.Context, req serve.Request) (*serve.Response, error) {
-	req = c.opts.Stamp(req)
-	ctx, cancel := c.opts.Deadline(ctx)
-	defer cancel()
 	var body bytes.Buffer
 	if err := EncodeRequest(&body, req); err != nil {
 		return nil, err

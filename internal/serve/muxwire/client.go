@@ -50,7 +50,6 @@ func TrimScheme(addr string) string {
 // all methods are safe for concurrent use.
 type Client struct {
 	addr string
-	opts serve.ClientOptions
 
 	mu     sync.Mutex
 	slots  []*slot
@@ -69,17 +68,15 @@ type slot struct {
 
 // NewClient targets a DLW2 listener at addr ("host:port" or
 // "dlw2://host:port"). Connections are dialed lazily and redialed with
-// backoff after failures. Options follow the transport-unified
-// vocabulary: serve.WithPoolSize sizes the connection pool,
-// serve.WithTimeout bounds synchronous calls, serve.WithTenant stamps a
-// default tenant.
+// backoff after failures. serve.WithPoolSize sizes the connection
+// pool (DefaultPoolSize when unset); per-call deadlines come from the
+// caller's ctx.
 func NewClient(addr string, opts ...serve.ClientOption) *Client {
-	o := serve.BuildClientOptions(opts...)
-	n := o.PoolSize
+	n := serve.BuildClientOptions(opts...).PoolSize
 	if n <= 0 {
 		n = DefaultPoolSize
 	}
-	c := &Client{addr: TrimScheme(addr), opts: o, slots: make([]*slot, n)}
+	c := &Client{addr: TrimScheme(addr), slots: make([]*slot, n)}
 	for i := range c.slots {
 		c.slots[i] = &slot{}
 	}
@@ -137,9 +134,6 @@ func (s *slot) get(ctx context.Context, addr string) (*conn, error) {
 // reconstructing typed errors. Concurrent InferSync calls on one
 // connection interleave freely — that is the multiplexing.
 func (c *Client) InferSync(ctx context.Context, req serve.Request) (*serve.Response, error) {
-	req = c.opts.Stamp(req)
-	ctx, cancel := c.opts.Deadline(ctx)
-	defer cancel()
 	cn, err := c.pooled(ctx)
 	if err != nil {
 		return nil, err
@@ -174,8 +168,6 @@ func (c *Client) Models(ctx context.Context) ([]serve.ModelInfo, error) {
 // control performs one stats/models exchange and decodes the JSON
 // reply.
 func (c *Client) control(ctx context.Context, typ byte, dst any) error {
-	ctx, cancel := c.opts.Deadline(ctx)
-	defer cancel()
 	cn, err := c.pooled(ctx)
 	if err != nil {
 		return err
@@ -213,7 +205,7 @@ func (c *Client) Session(ctx context.Context) (serve.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &muxSession{client: c, cn: cn, ctx: ctx}, nil
+	return &muxSession{cn: cn, ctx: ctx}, nil
 }
 
 // Close closes every pooled connection; in-flight calls fail with

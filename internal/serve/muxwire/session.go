@@ -35,10 +35,9 @@ const sessionOutBuffer = 1024
 // rebuilt, so the caller opens a fresh session and re-decides what to
 // resend.
 type muxSession struct {
-	client *Client
-	cn     *conn
-	ctx    context.Context
-	once   sync.Once
+	cn   *conn
+	ctx  context.Context
+	once sync.Once
 }
 
 // Send pipelines one request frame; it never awaits execution.
@@ -52,7 +51,7 @@ func (s *muxSession) Send(req serve.Request) (uint64, error) {
 		return 0, err
 	}
 	var body bytes.Buffer
-	if err := httpapi.EncodeRequest(&body, s.client.opts.Stamp(req)); err != nil {
+	if err := httpapi.EncodeRequest(&body, req); err != nil {
 		return 0, err
 	}
 	cl, err := s.cn.send(frameRequest, body.Bytes())

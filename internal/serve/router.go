@@ -23,9 +23,9 @@ import (
 // carry an SLO, and the router places it on the *cheapest* variant that
 // satisfies it:
 //
-//	Route ──► candidates (accuracy ≥ MinAccuracy, cheapest first)
-//	      ──► live latency gate (estimated e2e ≤ MaxLatency)
-//	      ──► bounded admission (trySubmit) ──► pool ──► Future
+//	Do ──► candidates (accuracy ≥ MinAccuracy, cheapest first)
+//	   ──► live latency gate (estimated e2e ≤ MaxLatency)
+//	   ──► bounded admission (trySubmitMany) ──► pool ──► futures
 //
 // Cheapness is the variant's warmed batch-1 plan time measured on this
 // host at boot; the latency gate uses the live
@@ -57,7 +57,7 @@ var ErrNoVariant = errors.New("serve: no variant satisfies the SLO")
 // depth × mean batch wall time over the replicas.
 type OverloadedError struct {
 	// Stack is the routing name the rejection applies to: the endpoint
-	// for routed traffic, the pool for direct trySubmit admission.
+	// for routed traffic, the pool for direct bounded admission.
 	Stack string
 	// RetryAfter is the estimated backlog drain time (≥ 1ms).
 	RetryAfter time.Duration
@@ -99,9 +99,9 @@ type Variant struct {
 }
 
 // EndpointSpec is one logical endpoint fronting a set of variants of
-// the same model. Variant pools are hosted like any other (they appear
-// in Stacks() and can be addressed directly); the endpoint name routes
-// across them.
+// the same model. Variant pools are hosted like any other (Models
+// lists them and they can be addressed directly); the endpoint name
+// routes across them.
 type EndpointSpec struct {
 	// Name is the endpoint's routing key (e.g. "resnet18"). It must not
 	// collide with any pool name.
@@ -211,16 +211,6 @@ func (ep *endpoint) candidates(slo SLO) ([]*variant, error) {
 	return nil, fmt.Errorf("%w: endpoint %q tops out below %.1f%% top-1", ErrNoVariant, ep.name, slo.MinAccuracy)
 }
 
-// route places one request: candidates in cost order, live latency
-// gate, bounded admission, spillover for priority traffic.
-func (ep *endpoint) route(tid string, img *tensor.Tensor, slo SLO) (*Future, error) {
-	futs, err := ep.routeMany(tid, []*tensor.Tensor{img}, slo)
-	if err != nil {
-		return nil, err
-	}
-	return futs[0], nil
-}
-
 // routeMany places a group of images as one routing decision: the whole
 // group lands on a single variant (its results are meant to coalesce in
 // one batcher, and a per-image split would let half a request ride a
@@ -230,7 +220,7 @@ func (ep *endpoint) route(tid string, img *tensor.Tensor, slo SLO) (*Future, err
 // The tenant identity rides into every candidate's admission gate, so a
 // spilling group is charged against the same tenant share wherever it
 // lands.
-func (ep *endpoint) routeMany(tid string, imgs []*tensor.Tensor, slo SLO) ([]*Future, error) {
+func (ep *endpoint) routeMany(tid string, imgs []*tensor.Tensor, slo SLO) ([]*future, error) {
 	cands, err := ep.candidates(slo)
 	if err != nil {
 		return nil, err
@@ -336,7 +326,7 @@ func (ep *endpoint) snapshot() EndpointStats {
 }
 
 // stats snapshots one variant, folding routing counters into the pool
-// snapshot so AllStats carries them too.
+// snapshot so Snapshot().Pools carries them too.
 func (v *variant) stats() VariantStats {
 	ps := v.pool.snapshot()
 	ps.Routed, ps.Shed = v.routed.Load(), v.shed.Load()
@@ -350,20 +340,4 @@ func (v *variant) stats() VariantStats {
 		Shed:            ps.Shed,
 		Pool:            ps,
 	}
-}
-
-// Endpoints lists the hosted endpoint names in configuration order.
-func (s *Server) Endpoints() []string {
-	out := make([]string, len(s.endpointNames))
-	copy(out, s.endpointNames)
-	return out
-}
-
-// EndpointStats snapshots one endpoint's routed traffic per variant.
-func (s *Server) EndpointStats(name string) (EndpointStats, error) {
-	ep, ok := s.endpoints[name]
-	if !ok {
-		return EndpointStats{}, fmt.Errorf("serve: unknown endpoint %q", name)
-	}
-	return ep.snapshot(), nil
 }

@@ -17,7 +17,7 @@
 //	    im2col columns, padding buffers, lazy CSR views — across calls,
 //	    and the unit future sharding can move off-process), assembles the
 //	    batch into one N×C×H×W tensor, runs a single batched forward
-//	    pass, and resolves each request's Future with its logit row.
+//	    pass, and resolves each request's future with its logit row.
 //
 // A Server hosts any number of pools side by side ("resnet18 channel
 // pruned" next to "mobilenet quantised"), routed by stack name. On top
@@ -242,13 +242,6 @@ func (s *Server) addPool(spec StackSpec, cfg Config) (*pool, error) {
 	return p, nil
 }
 
-// Stacks lists the hosted routing names in configuration order.
-func (s *Server) Stacks() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
 // InputShape returns the per-image C×H×W input shape a hosted pool or
 // endpoint expects (an endpoint's variants all share their model's
 // shape), so clients can size images without rebuilding the model.
@@ -260,35 +253,6 @@ func (s *Server) InputShape(name string) (tensor.Shape, error) {
 		return ep.variants[0].pool.chw.Clone(), nil
 	}
 	return nil, fmt.Errorf("serve: unknown stack or endpoint %q", name)
-}
-
-// Stats snapshots the named pool's serving statistics. For pools
-// backing an endpoint variant the snapshot includes the routed/shed
-// counters.
-func (s *Server) Stats(stack string) (Stats, error) {
-	if v, ok := s.variants[stack]; ok {
-		return v.stats().Pool, nil
-	}
-	p, ok := s.pools[stack]
-	if !ok {
-		return Stats{}, fmt.Errorf("serve: unknown stack %q", stack)
-	}
-	return p.snapshot(), nil
-}
-
-// AllStats snapshots every pool, keyed by routing name; pools backing
-// endpoint variants carry their routed/shed traffic counters, so the
-// aggregate view breaks SLO-routed traffic down per variant.
-func (s *Server) AllStats() map[string]Stats {
-	out := make(map[string]Stats, len(s.pools))
-	for name, p := range s.pools {
-		if v, ok := s.variants[name]; ok {
-			out[name] = v.stats().Pool
-			continue
-		}
-		out[name] = p.snapshot()
-	}
-	return out
 }
 
 // Close gracefully shuts the server down: it refuses new submissions,

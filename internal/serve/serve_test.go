@@ -42,10 +42,8 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 
 // doSubmit places one single-image request through the unified request
 // path — the submission every Client method funnels into — and returns
-// its Future. Tests use it where the legacy Submit/Route shims were
-// exercised before those were reduced to compatibility coverage (see
-// compat_test.go).
-func doSubmit(ctx context.Context, s *Server, target string, img *tensor.Tensor, slo SLO) (*Future, error) {
+// its future.
+func doSubmit(ctx context.Context, s *Server, target string, img *tensor.Tensor, slo SLO) (*future, error) {
 	futs, err := s.submitRequest(ctx, Request{Target: target, Images: []*tensor.Tensor{img}, SLO: slo})
 	if err != nil {
 		return nil, err
@@ -53,14 +51,14 @@ func doSubmit(ctx context.Context, s *Server, target string, img *tensor.Tensor,
 	return futs[0], nil
 }
 
-// doInfer is doSubmit followed by Wait — the blocking single-image
-// convenience the legacy Infer/RouteInfer shims provided.
+// doInfer is doSubmit followed by wait: one blocking single-image
+// request.
 func doInfer(ctx context.Context, s *Server, target string, img *tensor.Tensor, slo SLO) (Result, error) {
 	f, err := doSubmit(ctx, s, target, img, slo)
 	if err != nil {
 		return Result{}, err
 	}
-	return f.Wait(ctx)
+	return f.wait(ctx)
 }
 
 // TestFlushOnSize checks the size trigger: with an effectively infinite
@@ -72,7 +70,7 @@ func TestFlushOnSize(t *testing.T) {
 		Replicas: 1, MaxBatch: maxBatch, MaxDelay: time.Hour,
 	})
 	ctx := context.Background()
-	var futs []*Future
+	var futs []*future
 	for i := 0; i < maxBatch; i++ {
 		f, err := doSubmit(ctx, s, "mini-mobilenet/plain", testImage(uint64(i)), SLO{})
 		if err != nil {
@@ -81,7 +79,7 @@ func TestFlushOnSize(t *testing.T) {
 		futs = append(futs, f)
 	}
 	for i, f := range futs {
-		res, err := f.Wait(ctx)
+		res, err := f.wait(ctx)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -89,10 +87,7 @@ func TestFlushOnSize(t *testing.T) {
 			t.Fatalf("request %d rode a batch of %d, want %d (size flush)", i, res.BatchSize, maxBatch)
 		}
 	}
-	st, err := s.Stats("mini-mobilenet/plain")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.Snapshot().Pools["mini-mobilenet/plain"]
 	if st.Batches != 1 || st.Completed != maxBatch {
 		t.Fatalf("stats = %+v, want 1 batch of %d", st, maxBatch)
 	}
@@ -190,7 +185,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	ctx := context.Background()
 	const n = 6 // one full batch of 4 + a partial batch of 2 stuck on the timer
-	var futs []*Future
+	var futs []*future
 	for i := 0; i < n; i++ {
 		f, err := doSubmit(ctx, s, "m", testImage(uint64(i)), SLO{})
 		if err != nil {
@@ -201,7 +196,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	s.Close()
 	for i, f := range futs {
 		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		res, err := f.Wait(waitCtx)
+		res, err := f.wait(waitCtx)
 		cancel()
 		if err != nil {
 			t.Fatalf("request %d not drained: %v", i, err)
@@ -216,10 +211,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := doInfer(ctx, s, "m", testImage(9), SLO{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("infer after close: err = %v, want ErrClosed", err)
 	}
-	st, err := s.Stats("m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.Snapshot().Pools["m"]
 	if st.Completed != n || st.QueueDepth != 0 {
 		t.Fatalf("after drain: %+v, want %d completed and empty queue", st, n)
 	}
@@ -237,11 +229,13 @@ func TestMultiStackRouting(t *testing.T) {
 		},
 		Replicas: 1, MaxBatch: 2, MaxDelay: time.Millisecond,
 	})
-	if got := s.Stacks(); len(got) != 2 || got[0] != "mini-vgg/plain" || got[1] != "mini-mobilenet/plain" {
-		t.Fatalf("stacks = %v", got)
+	ms := s.Models()
+	if len(ms) != 2 || ms[0].Name != "mini-vgg/plain" || ms[1].Name != "mini-mobilenet/plain" {
+		t.Fatalf("models = %+v", ms)
 	}
 	ctx := context.Background()
-	for _, name := range s.Stacks() {
+	for _, m := range ms {
+		name := m.Name
 		res, err := doInfer(ctx, s, name, testImage(7), SLO{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -307,10 +301,7 @@ func TestStatsUnderLoad(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st, err := s.Stats("m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.Snapshot().Pools["m"]
 	if st.Completed != clients*perClient || st.Failed != 0 {
 		t.Fatalf("completed/failed = %d/%d, want %d/0", st.Completed, st.Failed, clients*perClient)
 	}
@@ -326,9 +317,8 @@ func TestStatsUnderLoad(t *testing.T) {
 	if st.ReplicaMemoryMB <= 0 {
 		t.Fatalf("replica memory = %.2f, want > 0", st.ReplicaMemoryMB)
 	}
-	all := s.AllStats()
-	if len(all) != 1 || all["m"].Completed != st.Completed {
-		t.Fatalf("AllStats = %v", all)
+	if all := s.Snapshot().Pools; len(all) != 1 {
+		t.Fatalf("Snapshot().Pools = %v, want the one pool", all)
 	}
 }
 
@@ -347,7 +337,7 @@ func TestWaitContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := f.Wait(ctx); err != context.DeadlineExceeded {
+	if _, err := f.wait(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("wait on pinned request: err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -368,7 +358,7 @@ func TestVaryingBatchSizesThroughPlans(t *testing.T) {
 	ctx := context.Background()
 	// 1, then 3, then 7 requests: batch sizes 1..4 all occur.
 	for round, count := range []int{1, 3, 7} {
-		futs := make([]*Future, count)
+		futs := make([]*future, count)
 		imgs := make([]*tensor.Tensor, count)
 		for i := range futs {
 			imgs[i] = testImage(uint64(round*100 + i))
@@ -379,7 +369,7 @@ func TestVaryingBatchSizesThroughPlans(t *testing.T) {
 			futs[i] = f
 		}
 		for i, f := range futs {
-			res, err := f.Wait(ctx)
+			res, err := f.wait(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,8 +64,8 @@ const sessionResultBuffer = 1024
 // each Send dispatches a goroutine that runs the call and delivers the
 // outcome. It is the Session implementation for LocalClient, the HTTP
 // client, and the cluster; muxwire replaces it with a true pinned
-// connection. Every request is bounded by the session ctx and by the
-// client's own timeout, exactly as a direct InferSync would be.
+// connection. Every request is bounded by the session ctx, exactly as
+// a direct InferSync under that ctx would be.
 type pipeSession struct {
 	ctx    context.Context
 	cancel context.CancelFunc

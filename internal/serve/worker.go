@@ -17,7 +17,7 @@ import (
 type request struct {
 	img *tensor.Tensor // flat C*H*W payload, already validated
 	enq time.Time
-	fut *Future
+	fut *future
 	tq  *tenantQueue // owning tenant sub-queue, set at enqueue
 }
 
@@ -130,16 +130,6 @@ func newPool(name string, stack core.Config, cfg Config, meter *tenant.Meter) (*
 	return p, nil
 }
 
-// submit validates the image and enqueues it for tenant tid, blocking
-// (under ctx) when the queue is full.
-func (p *pool) submit(ctx context.Context, tid string, img *tensor.Tensor) (*Future, error) {
-	futs, err := p.submitMany(ctx, tid, []*tensor.Tensor{img})
-	if err != nil {
-		return nil, err
-	}
-	return futs[0], nil
-}
-
 // submitMany validates and enqueues a group of images as consecutive
 // requests — one enqueue burst, one future per image. Back-to-back
 // enqueueing is what lets the batcher coalesce a multi-image request
@@ -148,7 +138,7 @@ func (p *pool) submit(ctx context.Context, tid string, img *tensor.Tensor) (*Fut
 // enqueued so far stay accepted and execute (their futures are simply
 // abandoned), exactly like a single accepted submission whose waiter
 // gives up.
-func (p *pool) submitMany(ctx context.Context, tid string, imgs []*tensor.Tensor) ([]*Future, error) {
+func (p *pool) submitMany(ctx context.Context, tid string, imgs []*tensor.Tensor) ([]*future, error) {
 	for _, img := range imgs {
 		if err := p.checkShape(img); err != nil {
 			return nil, err
@@ -170,7 +160,7 @@ func (p *pool) submitMany(ctx context.Context, tid string, imgs []*tensor.Tensor
 	p.mu.Unlock()
 	defer p.subs.Done()
 
-	futs := make([]*Future, len(imgs))
+	futs := make([]*future, len(imgs))
 	for i, img := range imgs {
 		r := &request{img: img, enq: time.Now(), fut: newFuture()}
 		// pending is raised before the push (and lowered again on a
@@ -192,28 +182,16 @@ func (p *pool) submitMany(ctx context.Context, tid string, imgs []*tensor.Tensor
 	return futs, nil
 }
 
-// trySubmit is the admission-controlled variant of submit the router
-// uses: it never blocks on a full pool. Load beyond the tenant's share
-// of the queue capacity — counting both the queued requests and those
-// already coalescing in the batcher's open batch — is refused with an
-// *OverloadedError whose RetryAfter estimates the current backlog's
-// drain time, so callers shed (or spill to another variant) instead of
-// piling up unboundedly.
-func (p *pool) trySubmit(tid string, img *tensor.Tensor) (*Future, error) {
-	futs, err := p.trySubmitMany(tid, []*tensor.Tensor{img})
-	if err != nil {
-		return nil, err
-	}
-	return futs[0], nil
-}
-
-// trySubmitMany is the admission-controlled group enqueue: the whole
-// group is admitted against the tenant's live capacity share at once
-// (tenant in-flight + N ≤ share, where share = QueueCap × weight /
-// active weight — exactly QueueCap when the tenant is alone) or
-// refused as a unit, so a multi-image request is never half-shed and a
-// saturating tenant sheds at its share while others still admit.
-func (p *pool) trySubmitMany(tid string, imgs []*tensor.Tensor) ([]*Future, error) {
+// trySubmitMany is the admission-controlled group enqueue the router
+// uses: it never blocks on a full pool. The whole group is admitted
+// against the tenant's live capacity share at once (tenant in-flight +
+// N ≤ share, where share = QueueCap × weight / active weight — exactly
+// QueueCap when the tenant is alone, counting both queued requests and
+// those coalescing in the open batch) or refused as a unit with an
+// *OverloadedError whose RetryAfter estimates the backlog's drain
+// time. A multi-image request is never half-shed, and a saturating
+// tenant sheds at its share while others still admit.
+func (p *pool) trySubmitMany(tid string, imgs []*tensor.Tensor) ([]*future, error) {
 	for _, img := range imgs {
 		if err := p.checkShape(img); err != nil {
 			return nil, err
@@ -235,7 +213,7 @@ func (p *pool) trySubmitMany(tid string, imgs []*tensor.Tensor) ([]*Future, erro
 	// above as in submitMany.
 	n := int64(len(imgs))
 	reqs := make([]*request, len(imgs))
-	futs := make([]*Future, len(imgs))
+	futs := make([]*future, len(imgs))
 	now := time.Now()
 	for i, img := range imgs {
 		r := &request{img: img, enq: now, fut: newFuture()}

@@ -15,7 +15,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+SRV=
+# On any exit — a failed gate included — stop a backend still running,
+# so it cannot hold 18090/18091 and answer the next run's load.
+cleanup() {
+  if [ -n "$SRV" ] && kill -0 "$SRV" 2>/dev/null; then
+    kill "$SRV" 2>/dev/null || true
+    wait "$SRV" 2>/dev/null || true
+  fi
+  rm -rf "$work"
+}
+trap cleanup EXIT
 
 echo "== frame codec 0-alloc gate =="
 go test ./internal/serve/muxwire/ -run 'TestFrameCodecZeroAlloc' -v | grep -E 'PASS|ok'
