@@ -7,18 +7,12 @@ package dlis
 // seconds as custom metrics ("sim-sec"), since the paper's absolute
 // numbers come from hardware this container does not have (DESIGN.md §2).
 //
-// Regenerate the full text artifacts with: go run ./cmd/dlis-bench
+// Regenerate the full text artifacts with: go run ./cmd/dlis-paper
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"net/http/httptest"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/compress/channel"
@@ -30,7 +24,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/pareto"
-	"repro/internal/serve"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
@@ -431,114 +424,6 @@ func BenchmarkWinogradAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput drives the batched serving subsystem
-// (internal/serve, DESIGN.md §6) with a closed loop of concurrent
-// clients over a mini model. ns/op is the per-request cost at the
-// server; the custom metric is aggregate requests per second. Compare
-// against BenchmarkFig4HostExecution's mini-vgg/plain single-image
-// wall time for the batching overhead/gain.
-func BenchmarkServeThroughput(b *testing.B) {
-	srv, err := serve.New(serve.Config{
-		Stacks: []serve.StackSpec{{Name: "m", Stack: core.Config{
-			Model: "mini-vgg", Technique: core.Plain,
-			Backend: core.OMP, Threads: 1, Platform: "odroid-xu4", Seed: 1,
-		}}},
-		Replicas: 2, MaxBatch: 4, MaxDelay: time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	const clients = 8
-	imgs := make([]*tensor.Tensor, clients)
-	for c := range imgs {
-		imgs[c] = tensor.New(3, 32, 32)
-		imgs[c].FillNormal(tensor.NewRNG(uint64(2*c+1)), 0, 1)
-	}
-	ctx := context.Background()
-	var budget atomic.Int64
-	budget.Store(int64(b.N))
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			req := serve.Request{Target: "m", Images: []*tensor.Tensor{imgs[c]}}
-			for budget.Add(-1) >= 0 {
-				rf, err := srv.Do(ctx, req)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if _, err := rf.Wait(ctx); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "req/s")
-}
-
-// BenchmarkPlanInference compares the compiled-plan hot path against
-// the eager allocating Forward on the same network and batch —
-// allocs/op is the headline: the plan rows must report 0 B/op after
-// warm-up, the eager rows the full per-inference churn.
-func BenchmarkPlanInference(b *testing.B) {
-	for _, batch := range []int{1, 8} {
-		net, err := models.ByName("mini-vgg", tensor.NewRNG(13))
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := tensor.New(batch, 3, 32, 32)
-		in.FillNormal(tensor.NewRNG(14), 0, 1)
-		b.Run(fmt.Sprintf("eager/batch=%d", batch), func(b *testing.B) {
-			ctx := nn.Inference()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = net.Forward(&ctx, in)
-			}
-		})
-		b.Run(fmt.Sprintf("plan/batch=%d", batch), func(b *testing.B) {
-			plan, err := nn.Compile(net, nn.Inference(), in.Shape())
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan.Execute(in) // warm-up outside the timer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = plan.Execute(in)
-			}
-		})
-		// The int8 path rides the same /plan/ 0-alloc CI gate: after
-		// compilation a quantised plan must also run allocation-free.
-		b.Run(fmt.Sprintf("plan/int8/batch=%d", batch), func(b *testing.B) {
-			ctx := nn.Inference()
-			ctx.Algo = nn.QuantInt8
-			plan, err := nn.Compile(net, ctx, in.Shape())
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan.Execute(in)
-			// Compiling the quantised plan churns enough garbage that at
-			// -benchtime 1x the deferred GC byproducts (≈48 B) otherwise
-			// land inside the timed window and trip the 0-alloc gate.
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = plan.Execute(in)
-			}
-		})
-	}
-}
-
 // BenchmarkDeepCompressionStorage measures the prune→ternary→Huffman
 // storage estimator over a full-size network (the deepcomp experiment).
 func BenchmarkDeepCompressionStorage(b *testing.B) {
@@ -557,114 +442,4 @@ func BenchmarkDeepCompressionStorage(b *testing.B) {
 		ratio = float64(st.Dense) / float64(st.Huffman)
 	}
 	b.ReportMetric(ratio, "compression-x")
-}
-
-// BenchmarkTransportParity measures the wire overhead of every client
-// transport against the in-process LocalClient on one loopback host:
-// the same pool, the same closed loop (8 concurrent callers), the same
-// images — only the transport changes. The DLW2 rows are the
-// acceptance gate for the multiplexed session protocol: the mux path
-// must land within ~1% of LocalClient and strictly above HTTP/1
-// (EXPERIMENTS.md, transport section). The pipeline row replaces the
-// closed loop with ONE streaming session keeping a 32-request window
-// in flight — a single connection, single submitter saturating the
-// backend.
-func BenchmarkTransportParity(b *testing.B) {
-	cfg := DefaultServerConfig()
-	cfg.Stacks = []ServerStack{{Name: "m", Stack: StackConfig{
-		Model: "mini-vgg", Technique: Plain,
-		Backend: OMP, Threads: 1, Platform: "odroid-xu4", Seed: 1,
-	}}}
-	cfg.Replicas, cfg.MaxBatch, cfg.MaxDelay = 2, 4, time.Millisecond
-	srv, err := NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(NewHTTPHandler(srv, 0))
-	defer ts.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ml := NewMuxListener(srv, MuxListenerConfig{MaxInFlight: 256})
-	go ml.Serve(ln)
-	defer ml.Close()
-
-	const clients = 8
-	imgs := make([]*Tensor, clients)
-	for c := range imgs {
-		imgs[c] = NewImage(1, 32, 32, uint64(2*c+1))
-	}
-	ctx := context.Background()
-
-	closed := func(b *testing.B, client Client) {
-		var budget atomic.Int64
-		budget.Store(int64(b.N))
-		b.ResetTimer()
-		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				req := Request{Target: "m", Images: []*Tensor{imgs[c]}}
-				for budget.Add(-1) >= 0 {
-					if _, err := client.InferSync(ctx, req); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "req/s")
-	}
-
-	b.Run("local", func(b *testing.B) {
-		// Note: not Closed — the LocalClient owns the server shutdown.
-		closed(b, NewLocalClient(srv))
-	})
-	b.Run("http", func(b *testing.B) {
-		client := NewHTTPClient(ts.URL)
-		defer client.Close()
-		closed(b, client)
-	})
-	b.Run("dlw2", func(b *testing.B) {
-		client := NewMuxClient(ln.Addr().String())
-		defer client.Close()
-		closed(b, client)
-	})
-	b.Run("dlw2-pipeline", func(b *testing.B) {
-		client := NewMuxClient(ln.Addr().String())
-		defer client.Close()
-		sess, err := client.Session(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sess.Close()
-		req := Request{Target: "m", Images: []*Tensor{imgs[0]}}
-		const window = 32
-		b.ResetTimer()
-		start := time.Now()
-		inflight := 0
-		for done := 0; done < b.N; {
-			for inflight < window && done+inflight < b.N {
-				if _, err := sess.Send(req); err != nil {
-					b.Fatal(err)
-				}
-				inflight++
-			}
-			res, err := sess.Recv()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			inflight--
-			done++
-		}
-		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "req/s")
-	})
 }

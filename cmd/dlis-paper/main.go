@@ -1,11 +1,11 @@
-// Command dlis-bench regenerates the paper's tables and figures.
+// Command dlis-paper regenerates the paper's tables and figures.
 //
 // Usage:
 //
-//	dlis-bench                 # run every experiment (fast calibrated mode)
-//	dlis-bench -exp fig4       # one experiment
-//	dlis-bench -exp fig3a -real  # real mini-model training for Fig. 3
-//	dlis-bench -list           # list experiment ids
+//	dlis-paper                 # run every experiment (fast calibrated mode)
+//	dlis-paper -exp fig4       # one experiment
+//	dlis-paper -exp fig3a -real  # real mini-model training for Fig. 3
+//	dlis-paper -list           # list experiment ids
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 		err = dlis.RunExperiment(*exp, os.Stdout, opts)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlis-bench:", err)
+		fmt.Fprintln(os.Stderr, "dlis-paper:", err)
 		os.Exit(1)
 	}
 }

@@ -4,12 +4,40 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	dlis "repro"
 )
+
+// TestMain doubles as dlis-serve itself: with DLIS_SERVE_MAIN=1 in the
+// environment the test binary runs main on its arguments, so a test can
+// boot the real command in a process of its own.
+func TestMain(m *testing.M) {
+	if os.Getenv("DLIS_SERVE_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runServe runs dlis-serve with args in a child process and returns
+// its combined output.
+func runServe(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DLIS_SERVE_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("dlis-serve %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return string(out)
+}
 
 // parse runs the real flag pipeline on args and returns the assembled
 // (unvalidated) config, mirroring main() up to Validate.
@@ -251,5 +279,42 @@ func TestPipelineFlagThreadsThrough(t *testing.T) {
 	neg := mustParse(t, "-model", "mini-vgg", "-pipeline", "-1")
 	if neg.Validate() == nil {
 		t.Error("negative -pipeline must be rejected by validation")
+	}
+}
+
+// TestTunerCacheColdThenWarmBoot boots dlis-serve twice against one
+// tuner cache, each boot in a fresh process because the tuner memo is
+// process-wide. The cold boot must time candidates and persist the
+// verdicts; the warm boot must resolve every verdict from disk without
+// re-timing or rewriting the clean cache; and the resolved topology
+// must not depend on whether the cache exists.
+func TestTunerCacheColdThenWarmBoot(t *testing.T) {
+	tc := t.TempDir()
+	args := []string{"-model", "mini-vgg", "-auto", "-replicas", "1", "-batch", "4",
+		"-clients", "4", "-requests", "32", "-tunercache", tc}
+	counters := regexp.MustCompile(`(?m)^tuner cache: hits=(\d+) memo=\d+ timed=(\d+) `)
+	boot := func() (hits, timed int, saved bool, out string) {
+		out = runServe(t, args...)
+		m := counters.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no tuner cache counters in output:\n%s", out)
+		}
+		hits, _ = strconv.Atoi(m[1])
+		timed, _ = strconv.Atoi(m[2])
+		return hits, timed, strings.Contains(out, "tuner cache: saved"), out
+	}
+	if hits, timed, saved, out := boot(); hits != 0 || timed < 1 || !saved {
+		t.Fatalf("cold boot: hits=%d timed=%d saved=%v, want hits=0 timed>=1 saved\n%s", hits, timed, saved, out)
+	}
+	if hits, timed, saved, out := boot(); hits < 1 || timed != 0 || saved {
+		t.Fatalf("warm boot: hits=%d timed=%d saved=%v, want hits>=1 timed=0 and no save\n%s", hits, timed, saved, out)
+	}
+	dry := append(args, "-dryrun")
+	warm := runServe(t, dry...)
+	if err := os.RemoveAll(tc); err != nil {
+		t.Fatal(err)
+	}
+	if cold := runServe(t, dry...); cold != warm {
+		t.Fatalf("-dryrun differs with the cache removed:\n%s\nwith it populated:\n%s", cold, warm)
 	}
 }

@@ -225,12 +225,6 @@ func NewEndpoint(name string, base StackConfig, techs ...Technique) ServerEndpoi
 	return serve.Endpoint(name, base, techs...)
 }
 
-// NewEndpointAt is NewEndpoint with explicit operating points (e.g.
-// TableV's fixed-90%-accuracy points).
-func NewEndpointAt(name string, base StackConfig, points map[Technique]OperatingPoint, techs ...Technique) ServerEndpoint {
-	return serve.EndpointAt(name, base, points, techs...)
-}
-
 // NewServer instantiates every configured stack (Replicas independent
 // replicas each, see Instance.Replicate) and starts serving. Wrap the
 // server in NewLocalClient (or expose it with NewHTTPHandler) and
@@ -384,13 +378,6 @@ type (
 // re-place a quota rejection on another member.
 var ErrQuotaExceeded = serve.ErrQuotaExceeded
 
-// MaxTenantIDLen bounds a tenant identity in bytes.
-const MaxTenantIDLen = serve.MaxTenantIDLen
-
-// ValidateTenantID checks a tenant identity: at most MaxTenantIDLen
-// bytes, no control characters; empty is the valid anonymous default.
-func ValidateTenantID(id string) error { return serve.ValidateTenantID(id) }
-
 // NewLocalClient wraps a running server in the transport-agnostic
 // Client interface. The client owns the server's shutdown: Close
 // drains it gracefully.
@@ -518,8 +505,5 @@ func SetTunerCache(c *TunerCache) { nn.SetTunerCache(c) }
 
 // TunerCounters reports how many per-geometry algorithm selections
 // were timed fresh, served by the in-process memo, and served by the
-// disk cache since process start (or the last ResetTunerCounters).
+// disk cache since process start.
 func TunerCounters() (timed, memoHits, diskHits uint64) { return nn.TunerCounters() }
-
-// ResetTunerCounters zeroes the tuner counters.
-func ResetTunerCounters() { nn.ResetTunerCounters() }

@@ -334,19 +334,6 @@ func (in *Instance) PlanFor(batch int) (*nn.Plan, error) {
 	return p, nil
 }
 
-// InvalidatePlans drops every cached plan. Structural changes that go
-// through nn.Network.Freeze / MarkMutated (the compression transforms
-// do) are detected automatically by PlanFor, so most callers never
-// need this; it remains for bespoke surgery that bypasses the version
-// counter. Plain in-place weight updates never require invalidation,
-// since plans hold views into the live weights.
-func (in *Instance) InvalidatePlans() {
-	in.planMu.Lock()
-	defer in.planMu.Unlock()
-	in.plans = make(map[int]*nn.Plan)
-	in.plansVersion = in.Net.Version()
-}
-
 // Run executes a real inference on the host engine with the configured
 // algorithm and thread count, returning the logits and wall time. The
 // input may carry any batch size N (shape N×C×H×W); the output then

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -193,5 +195,37 @@ func TestKnownAgreesWithByName(t *testing.T) {
 	}
 	if Known("alexnet") {
 		t.Fatal(`Known("alexnet") = true`)
+	}
+}
+
+// TestMiniVGGPlanZeroAllocations is the compiled-plan steady-state
+// guarantee at model scale: after compilation and one warm-up, mini-vgg
+// plans execute without heap allocation at batch 1 and 8, under the
+// default context and the quantised int8 one.
+func TestMiniVGGPlanZeroAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		algo  nn.Algo
+		batch int
+	}{
+		{nn.Direct, 1}, {nn.Direct, 8},
+		{nn.QuantInt8, 1}, {nn.QuantInt8, 8},
+	} {
+		t.Run(fmt.Sprintf("%v/batch=%d", tc.algo, tc.batch), func(t *testing.T) {
+			ctx := nn.Inference()
+			ctx.Algo = tc.algo
+			in := tensor.New(tc.batch, 3, 32, 32)
+			in.FillNormal(tensor.NewRNG(14), 0, 1)
+			plan, err := nn.Compile(MiniVGG(tensor.NewRNG(13)), ctx, in.Shape())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.Execute(in) // warm-up
+			// Settle the compiler's garbage so its GC byproducts cannot
+			// land inside the measured runs.
+			runtime.GC()
+			if allocs := testing.AllocsPerRun(3, func() { plan.Execute(in) }); allocs != 0 {
+				t.Fatalf("Execute performed %v allocations per inference, want 0", allocs)
+			}
+		})
 	}
 }
