@@ -52,7 +52,7 @@ func main() {
 
 // serveProbe hosts the model behind a one-replica server and answers a
 // single request through the Client API — the same call shape that
-// works against a remote dlis-serve -listen process.
+// works against a remote listening dlis-serve process.
 func serveProbe(model string, seed uint64) error {
 	cfg := dlis.DefaultServerConfig()
 	cfg.Stacks = []dlis.ServerStack{{Name: model, Stack: dlis.StackConfig{

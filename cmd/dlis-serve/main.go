@@ -1,99 +1,50 @@
-// Command dlis-serve runs the batched inference server — in process,
-// as an HTTP server, or as a remote load generator — and reports a
-// throughput/latency table per stack configuration through the
-// transport-agnostic dlis.Client API, so the same closed-loop run
-// works identically over either transport.
+// Command dlis-serve boots one process of a serving topology from a
+// fleet file (see dlis.ParseFleetConfig and DESIGN.md §10) and, where
+// the role generates load, reports a throughput/latency table per
+// stack configuration through the transport-agnostic dlis.Client API.
 //
 // Usage:
 //
-//	dlis-serve -model resnet18 -replicas 4 -batch 8
-//	dlis-serve -model resnet18,mobilenet -technique channel-pruning
-//	dlis-serve -model mini-vgg -requests 512 -clients 64
-//	dlis-serve -model resnet18 -variants plain,weight-pruning,quantisation \
-//	           -slo acc=90,lat=500ms,prio=1
-//	dlis-serve -model mini-vgg -listen :8080            # HTTP server mode
-//	dlis-serve -model mini-vgg -muxlisten :8091         # DLW2 session server
-//	dlis-serve -model mini-vgg -listen :8080 -muxlisten :8091 # both protocols
-//	dlis-serve -connect host:8080 -model mini-vgg/plain # remote load gen
-//	dlis-serve -connect dlw2://host:8091 -model mini-vgg/plain -pipeline 32
-//	dlis-serve -cluster host1:8080,dlw2://host2:8091 -model mini-vgg/plain
-//	dlis-serve -config fleet.json                       # declarative topology
-//	dlis-serve -config fleet.json -dryrun               # print resolved topology
-//	dlis-serve -model mini-vgg -tenants 2:10,1          # skewed multi-tenant mix
+//	dlis-serve -config fleet.json           # boot the file's process role
+//	dlis-serve -config fleet.json -dryrun   # print the resolved topology
 //
-// With -config the whole topology — models, endpoints, pool tuning,
-// server role, cluster membership, load parameters — comes from one
-// JSON fleet file (see dlis.ParseFleetConfig and DESIGN.md §10), so a
-// multi-process deployment is a set of committed files instead of
-// hand-maintained flag strings. Explicitly set flags override the
-// file's values; -dryrun validates, prints the fully resolved topology
-// and exits without instantiating anything. Whichever way the config
-// was assembled, it passes through fleetcfg.Validate, so contradictory
-// mode flags (e.g. -listen with -connect) are typed, field-qualified
-// errors rather than one flag silently winning.
+// The file is the whole configuration: models, endpoints, pool tuning,
+// server role, cluster membership and load parameters, with one set of
+// defaults (Resolve's). It passes Validate before anything boots, so a
+// mistake is a typed error naming its JSON field path; -dryrun prints
+// the resolved topology and exits without instantiating anything.
+// cmd/dlis-serve/testdata holds a fixture for every role CI drives.
 //
-// In the default (in-process) mode each comma-separated model gets its
-// own pool (routing key "<model>/<technique>") and the load generator
-// drives a LocalClient. With -listen the process only serves: the same
-// pools (or -variants endpoints) are exposed over HTTP at /v1/infer,
-// /v1/models and /v1/stats until SIGINT/SIGTERM drains them;
-// -muxlisten additionally (or instead) serves the DLW2 multiplexed
-// session protocol on its own port, and a drain covers both listeners.
-// With -connect the process only generates load: -model names the
-// remote routing targets (pools or endpoints — discovered via the
-// models call, which also supplies the input geometry), and the report
-// is built from the remote statistics. The connect string picks the
-// transport: dlw2://host:port is DLW2; http://, https:// or a bare
-// host:port is HTTP. With -cluster the load generator fronts
-// a whole fleet of -listen backends through one dlis.Cluster client:
-// placement is least-loaded power-of-two-choices over the healthy
-// members, a backend dying mid-run fails over to the survivors, and
-// the report adds a per-member health/traffic table. Either way the load generator runs
-// -clients concurrent closed-loop clients per target — each submits
-// one request, waits for its result, and immediately submits the next
-// — until -requests requests per target have completed. Overloaded
-// responses (HTTP 429 with Retry-After, in-process ErrServerOverloaded
-// with the same hint) make the client back off and retry.
+// The role follows from the sections present (FleetConfig.Mode):
 //
-// With -pipeline N the closed loops are replaced by one streaming
-// session per target (and tenant): the generator opens client.Session
-// and keeps N requests in flight over the single pipe, re-issuing as
-// completions stream back. Over dlw2:// this exercises the multiplexed
-// transport the way it is meant to be used — one connection, many
-// outstanding ids, out-of-order completion — and a single process can
-// saturate a remote backend without hundreds of sockets.
+//   - local: models or endpoints and no listen address. Every hosted
+//     pool ("<kind>/<technique>") or SLO-routed endpoint is served in
+//     process and driven through a LocalClient; pool targets also get
+//     a sequential single-image baseline and a speedup column.
+//   - server: server.listen (HTTP: /v1/infer, /v1/models, /v1/stats)
+//     and/or server.muxListen (DLW2 sessions) serve the hosted stacks
+//     until SIGINT/SIGTERM drains every listener.
+//   - remote: load.connect drives one remote server; dlw2://host:port
+//     is DLW2, http://, https:// or a bare host:port is HTTP. The
+//     models call supplies discovery and input geometry.
+//   - cluster: cluster.members drives a fleet through one dlis.Cluster
+//     client (least-loaded power-of-two-choices placement, failover off
+//     a dying member) and adds a per-member health/traffic table.
 //
-// With -tenants N[:w1,...,wN] the same closed loop runs as a skewed
-// multi-tenant mix: clients and request budgets split across synthetic
-// tenants t0..tN-1 proportionally to weight and every request carries
-// its tenant's identity. Hosting modes register the tenants with
-// matching fair-share weights, so a 10:1 mix exercises weighted-fair
-// admission end to end; against a -connect/-cluster fleet the remote
-// config defines the tenancy and the mix only shapes the offered load.
-// Quota rejections (HTTP 429 with a quota error code, in-process
-// ErrQuotaExceeded) are counted but never retried — the tenant's
-// budget is spent on every member alike — and the report adds
-// per-tenant served/quota lines plus the server's metered usage table.
+// The load generator runs load.clients closed-loop clients per target
+// until load.requests requests per target complete; load.pipeline N
+// replaces them with one streaming session per target keeping N
+// requests in flight. load.tenants splits clients and budgets across
+// named tenants in proportion to weight and stamps each request with
+// its tenant; the serving side's tenants section owns the fair-share
+// weights and quotas. Overload rejections back off by the server's
+// RetryAfter hint and retry; quota rejections are counted, never
+// retried.
 //
-// The per-pool table reports:
-//
-//	throughput  completed requests per second through the server
-//	p50/p99     end-to-end request latency percentiles
-//	occupancy   mean requests per executed batch (>1 ⇒ batching engaged)
-//	baseline    sequential single-image req/s on ONE instance (no
-//	            batching, no concurrency) — in-process mode only
-//	speedup     throughput / baseline — in-process mode only
-//
-// The compression operating point for non-plain techniques is the
-// paper's Table III baseline for that model.
-//
-// With -variants, each model becomes one SLO-routed *endpoint*
-// fronting the listed compressed variants (Table III operating points,
-// Pareto accuracies). Clients submit against the endpoint name under
-// the -slo objective; admission is bounded, so saturated variants shed
-// with a RetryAfter hint. The report then breaks traffic down per
-// variant — served versus shed — instead of the baseline/speedup
-// columns.
+// The per-pool table reports throughput, p50/p99 latency, occupancy
+// (mean requests per batch; >1 means batching engaged) and, in local
+// mode, the sequential baseline and speedup. Endpoint targets report
+// served versus shed per variant instead.
 package main
 
 import (
@@ -117,19 +68,23 @@ import (
 	dlis "repro"
 )
 
-func main() {
-	fl := defineFlags(flag.CommandLine)
-	flag.Parse()
+// baselineImages is the sequential-baseline sample per pool in local
+// mode: half timed before the load run and half after.
+const baselineImages = 8
 
-	cfg, err := buildConfig(flag.CommandLine, fl)
+func main() {
+	path := flag.String("config", "", "fleet config file (JSON) describing the whole topology")
+	dryrun := flag.Bool("dryrun", false, "validate, print the fully resolved topology and exit without booting anything")
+	flag.Parse()
+	if *path == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: dlis-serve -config FLEET.json [-dryrun]")
+		os.Exit(2)
+	}
+	rcfg, err := loadConfig(*path)
 	if err != nil {
 		fatal(err)
 	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	rcfg := cfg.Resolve()
-	if fl.dryrun {
+	if *dryrun {
 		fmt.Print(rcfg.Topology())
 		return
 	}
@@ -139,9 +94,9 @@ func main() {
 		gen.targets, gen.clients, gen.requests = l.Targets, l.Clients, l.Requests
 		gen.pipeline = l.Pipeline
 		gen.slo = l.SLO.ServeSLO()
-	}
-	if gen.tenants, err = parseTenantMix(fl.tenants); err != nil {
-		fatal(err)
+		for _, t := range l.Tenants {
+			gen.tenants = append(gen.tenants, tenantMix(t))
+		}
 	}
 
 	switch rcfg.Mode() {
@@ -209,19 +164,16 @@ func main() {
 	// speedup instead of biasing it either way.
 	var probes map[string]*baselineProbe
 	if rcfg.Mode() == dlis.FleetModeLocal && len(srvCfg.Stacks) > 0 {
-		if fl.baselineN < 2 {
-			fatal(fmt.Errorf("-baseline-images must be ≥ 2 (one before and one after the load run), got %d", fl.baselineN))
-		}
 		probes = make(map[string]*baselineProbe, len(srvCfg.Stacks))
 		for _, spec := range srvCfg.Stacks {
 			name := spec.Key()
-			fmt.Printf("measuring sequential baseline for %s (%d of %d images)...\n", name, fl.baselineN/2+fl.baselineN%2, fl.baselineN)
+			fmt.Printf("measuring sequential baseline for %s (%d of %d images)...\n", name, baselineImages/2, baselineImages)
 			probe, err := newBaselineProbe(spec.Stack, rcfg.Server.Seed)
 			if err != nil {
 				fatal(err)
 			}
 			probes[name] = probe
-			pre := probe.measure(fl.baselineN/2 + fl.baselineN%2)
+			pre := probe.measure(baselineImages / 2)
 			fmt.Printf("  %v/image\n", pre.Round(time.Microsecond))
 		}
 	}
@@ -258,8 +210,8 @@ func main() {
 	if len(probes) > 0 {
 		baseline = make(map[string]float64, len(probes))
 		for name, probe := range probes {
-			fmt.Printf("measuring sequential baseline for %s (remaining %d images)...\n", name, fl.baselineN/2)
-			probe.measure(fl.baselineN / 2)
+			fmt.Printf("measuring sequential baseline for %s (remaining %d images)...\n", name, baselineImages/2)
+			probe.measure(baselineImages / 2)
 			perImage := probe.perImage()
 			baseline[name] = 1 / perImage.Seconds()
 			fmt.Printf("  %v/image → %.2f req/s overall\n", perImage.Round(time.Microsecond), baseline[name])
@@ -271,6 +223,24 @@ func main() {
 		fatal(err)
 	}
 	report(st, gen, srvCfg.MaxBatch, baseline, errCount)
+}
+
+// loadConfig reads, parses and validates the fleet file at path and
+// returns it resolved: the one configuration every process role boots
+// from.
+func loadConfig(path string) (*dlis.FleetConfig, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := dlis.ParseFleetConfig(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return cfg.Resolve(), nil
 }
 
 // serveListen exposes the server over HTTP (httpAddr), DLW2 sessions
@@ -314,7 +284,7 @@ func serveListen(srv *dlis.Server, httpAddr, muxAddr string) {
 }
 
 // runRemote drives a remote server over any Client transport:
-// discovery (with a startup grace period so a just-launched -listen
+// discovery (with a startup grace period so a just-launched server
 // process can finish instantiating), geometry from the models call,
 // the shared load loop, and a report built from the remote statistics.
 func runRemote(client dlis.Client, gen loadGen) {
@@ -447,12 +417,12 @@ type loadGen struct {
 // runLoad drives the closed loop through the transport-agnostic
 // Client: per target, gen.clients concurrent clients each submit one
 // request, wait, and submit the next until the target's budget is
-// spent. With a -tenants mix the clients and budgets are split across
-// the tenants proportionally to weight, and every request carries its
-// tenant's identity. Overload rejections back off by the server's
-// RetryAfter hint (bounded so one slow variant cannot idle a client
-// for seconds) and retry; quota rejections consume the request without
-// a retry — the tenant's budget is spent fleet-wide, so there is
+// spent. With a load.tenants mix the clients and budgets are split
+// across the tenants proportionally to weight, and every request
+// carries its tenant's identity. Overload rejections back off by the
+// server's RetryAfter hint (bounded so one slow variant cannot idle a
+// client for seconds) and retry; quota rejections consume the request
+// without a retry — the tenant's budget is spent fleet-wide, so there is
 // nothing to retry against; other errors abort that client.
 //
 // With gen.pipeline > 0 the closed loops are replaced by one streaming
@@ -476,7 +446,7 @@ func runLoad(client dlis.Client, gen loadGen) (time.Duration, int64) {
 		}
 	}
 
-	// Without -tenants the mix is one anonymous tenant — the identical
+	// Without load.tenants the mix is one anonymous tenant — the identical
 	// load shape the generator always ran.
 	mix := gen.tenants
 	if len(mix) == 0 {
@@ -676,7 +646,7 @@ func report(st dlis.ServerStats, gen loadGen, batch int, baseline map[string]flo
 			if !ok {
 				fatal(fmt.Errorf("no statistics for %q", name))
 			}
-			// The batch column is the load generator's own -batch; a
+			// The batch column is the local pool's batch size; a
 			// remote server's setting is not on the wire, so show "-".
 			batchCol := "-"
 			if batch > 0 {
@@ -737,13 +707,13 @@ func report(st dlis.ServerStats, gen loadGen, batch int, baseline map[string]flo
 	tw.Flush()
 
 	if errCount > 0 {
-		fmt.Printf("\nwarning: %d client(s) aborted on error — the table reflects only the requests that actually completed, not the configured -requests\n", errCount)
+		fmt.Printf("\nwarning: %d client(s) aborted on error — the table reflects only the requests that actually completed, not the configured load.requests\n", errCount)
 	}
 	// A single closed-loop client can never coalesce, so only warn when
 	// batching had a chance to engage.
 	for _, name := range pools {
 		if ps := st.Pools[name]; ps.MeanBatchOccupancy <= 1 && gen.clients > 1 {
-			fmt.Printf("\nwarning: %s batch occupancy %.2f ≤ 1 — batching never engaged; raise -clients or -delay\n",
+			fmt.Printf("\nwarning: %s batch occupancy %.2f ≤ 1 — batching never engaged; raise load.clients or pool.delay\n",
 				name, ps.MeanBatchOccupancy)
 		}
 	}

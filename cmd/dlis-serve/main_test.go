@@ -2,15 +2,15 @@ package main
 
 import (
 	"errors"
-	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	dlis "repro"
 )
@@ -39,220 +39,51 @@ func runServe(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// parse runs the real flag pipeline on args and returns the assembled
-// (unvalidated) config, mirroring main() up to Validate.
-func parse(t *testing.T, args ...string) (*dlis.FleetConfig, error) {
-	t.Helper()
-	fs := flag.NewFlagSet("dlis-serve", flag.ContinueOnError)
-	v := defineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatalf("flag parse: %v", err)
-	}
-	return buildConfig(fs, v)
-}
-
-// mustParse is parse for argument sets that must assemble cleanly.
-func mustParse(t *testing.T, args ...string) *dlis.FleetConfig {
-	t.Helper()
-	cfg, err := parse(t, args...)
-	if err != nil {
-		t.Fatalf("buildConfig(%v): %v", args, err)
-	}
-	return cfg
-}
-
-// TestModeConflictsAreTypedErrors is the regression test for the
-// centralised mode resolution: every contradictory flag combination
-// must surface as a typed fleetcfg error naming the conflicting field,
-// never a silent precedence between -listen/-connect/-cluster.
+// TestModeConflictsAreTypedErrors: a fleet file asking for two process
+// roles is rejected by loadConfig, the loader main runs, with the typed
+// fleetcfg error naming the conflicting field. The file path the loader
+// prefixes must not hide the type from errors.As.
 func TestModeConflictsAreTypedErrors(t *testing.T) {
 	tests := []struct {
 		name     string
-		args     []string
+		fleet    string
 		wantPath string
 	}{
-		{"listen+connect", []string{"-listen", ":8080", "-connect", "h:1", "-model", "mini-vgg"}, "load.connect"},
-		{"listen+cluster", []string{"-listen", ":8080", "-cluster", "h:1", "-model", "mini-vgg"}, "server.listen"},
-		{"connect+cluster", []string{"-connect", "h:1", "-cluster", "h:2", "-model", "mini-vgg"}, "load.connect"},
+		{"listen+connect", `{"server": {"listen": ":8080"}, "load": {"connect": "h:1", "targets": ["mini-vgg/plain"]}}`, "load.connect"},
+		{"listen+cluster", `{"server": {"listen": ":8080"}, "cluster": {"members": ["h:1"]}, "load": {"targets": ["mini-vgg/plain"]}}`, "server.listen"},
+		{"connect+cluster", `{"cluster": {"members": ["h:2"]}, "load": {"connect": "h:1", "targets": ["mini-vgg/plain"]}}`, "load.connect"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := mustParse(t, tc.args...)
-			err := cfg.Validate()
-			if err == nil {
-				t.Fatalf("%v validated despite contradictory modes", tc.args)
+			path := filepath.Join(t.TempDir(), "fleet.json")
+			if err := os.WriteFile(path, []byte(tc.fleet), 0o644); err != nil {
+				t.Fatal(err)
 			}
+			_, err := loadConfig(path)
 			var ferr *dlis.FleetConfigError
 			if !errors.As(err, &ferr) {
-				t.Fatalf("error %v (%T) is not a typed fleetcfg error", err, err)
+				t.Fatalf("loadConfig = %v (%T), want a typed fleetcfg error", err, err)
 			}
-			if ferr.Path != tc.wantPath {
-				t.Fatalf("error path = %q (%v), want %q", ferr.Path, err, tc.wantPath)
+			if ferr.Path != tc.wantPath || !strings.HasPrefix(err.Error(), path+": ") {
+				t.Fatalf("error %q: path %q, want %q behind the file name", err, ferr.Path, tc.wantPath)
 			}
 		})
 	}
 }
 
-// TestFlagModeDerivation pins which process role each flag set
-// resolves to through the single Mode() derivation point.
-func TestFlagModeDerivation(t *testing.T) {
-	tests := []struct {
-		args []string
-		want dlis.FleetMode
-	}{
-		{[]string{"-model", "mini-vgg"}, dlis.FleetModeLocal},
-		{[]string{"-model", "mini-vgg", "-listen", ":8080"}, dlis.FleetModeListen},
-		{[]string{"-model", "mini-vgg", "-muxlisten", ":8091"}, dlis.FleetModeListen},
-		{[]string{"-model", "mini-vgg", "-listen", ":8080", "-muxlisten", ":8091"}, dlis.FleetModeListen},
-		{[]string{"-model", "mini-vgg/plain", "-connect", "127.0.0.1:8080"}, dlis.FleetModeConnect},
-		{[]string{"-model", "mini-vgg/plain", "-connect", "dlw2://127.0.0.1:8091", "-pipeline", "32"}, dlis.FleetModeConnect},
-		{[]string{"-model", "mini-vgg/plain", "-cluster", "127.0.0.1:18081,dlw2://127.0.0.1:18091"}, dlis.FleetModeCluster},
+// dials reports whether the connect address addr reaches backend b:
+// dlw2:// addresses its DLW2 listener, anything else its HTTP one.
+func dials(addr string, b *dlis.FleetConfig) bool {
+	if rest, ok := strings.CutPrefix(addr, "dlw2://"); ok {
+		return rest == b.Server.MuxListen
 	}
-	for _, tc := range tests {
-		cfg := mustParse(t, tc.args...)
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%v: %v", tc.args, err)
-			continue
-		}
-		if got := cfg.Mode(); got != tc.want {
-			t.Errorf("%v resolved to mode %v, want %v", tc.args, got, tc.want)
-		}
-	}
+	return strings.TrimPrefix(strings.TrimPrefix(addr, "http://"), "https://") == b.Server.Listen
 }
 
-// TestFlagConfigLegacyDefaults pins flag/config parity: the bare flag
-// interface must resolve to the same topology it always ran — 4
-// replicas, batch 8, 2ms window, derived queue cap and load shape.
-func TestFlagConfigLegacyDefaults(t *testing.T) {
-	cfg := mustParse(t, "-model", "mini-vgg")
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	r := cfg.Resolve()
-	if *r.Pool.Replicas != 4 || *r.Pool.Batch != 8 || time.Duration(r.Pool.Delay) != 2*time.Millisecond {
-		t.Errorf("resolved tuning %+v, want legacy 4 replicas / batch 8 / 2ms", r.Pool)
-	}
-	if *r.Pool.QueueCap != 4*8*4 {
-		t.Errorf("resolved queue cap = %d, want derived %d", *r.Pool.QueueCap, 4*8*4)
-	}
-	if r.Load.Clients != 2*4*8 || r.Load.Requests != 4*4*8 {
-		t.Errorf("resolved load %+v, want legacy 64 clients / 128 requests", r.Load)
-	}
-	if len(r.Load.Targets) != 1 || r.Load.Targets[0] != "mini-vgg/plain" {
-		t.Errorf("resolved targets = %v, want [mini-vgg/plain]", r.Load.Targets)
-	}
-}
-
-// TestConfigFileFlagOverrides checks the documented precedence:
-// explicitly set flags override the file, unset flags leave it alone.
-func TestConfigFileFlagOverrides(t *testing.T) {
-	path := filepath.Join("testdata", "fleet-backend-1.json")
-	base := mustParse(t, "-config", path)
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := *base.Resolve().Pool.Replicas; got != 2 {
-		t.Fatalf("file config replicas = %d, want 2 (flag defaults must not leak over the file)", got)
-	}
-
-	over := mustParse(t, "-config", path, "-replicas", "3", "-listen", "127.0.0.1:19090")
-	if err := over.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	r := over.Resolve()
-	if *r.Pool.Replicas != 3 {
-		t.Errorf("overridden replicas = %d, want 3", *r.Pool.Replicas)
-	}
-	if r.Server.Listen != "127.0.0.1:19090" {
-		t.Errorf("overridden listen = %q, want 127.0.0.1:19090", r.Server.Listen)
-	}
-	if *r.Pool.Batch != 4 {
-		t.Errorf("batch = %d, want the file's 4 (unset flag must not override)", *r.Pool.Batch)
-	}
-
-	// -model on a cluster config retargets the load, not the hosting.
-	cl := mustParse(t, "-config", filepath.Join("testdata", "fleet-cluster.json"), "-model", "other/plain")
-	if got := cl.Load.Targets; len(got) != 1 || got[0] != "other/plain" {
-		t.Errorf("cluster -model override targets = %v, want [other/plain]", got)
-	}
-	if len(cl.Models) != 0 {
-		t.Errorf("cluster -model override declared models %v; a load generator hosts nothing", cl.Models)
-	}
-
-	// -variants without -model over a file is ambiguous and rejected.
-	if _, err := parse(t, "-config", path, "-variants", "plain,wp"); err == nil {
-		t.Error("-variants without -model over a config file must be rejected")
-	}
-}
-
-// TestCIFixturesBootTheGauntlet validates the committed CI fixtures
-// end-to-end through the same pipeline main() runs: they must parse,
-// validate, resolve to the roles the cluster gauntlet wires together,
-// and agree on the routing target.
-func TestCIFixturesBootTheGauntlet(t *testing.T) {
-	load := func(name string) *dlis.FleetConfig {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := dlis.ParseFleetConfig(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return cfg
-	}
-	b1 := load("fleet-backend-1.json").Resolve()
-	b2 := load("fleet-backend-2.json").Resolve()
-	cl := load("fleet-cluster.json").Resolve()
-
-	if b1.Mode() != dlis.FleetModeListen || b2.Mode() != dlis.FleetModeListen {
-		t.Fatalf("backends must resolve to listen mode, got %v / %v", b1.Mode(), b2.Mode())
-	}
-	if cl.Mode() != dlis.FleetModeCluster {
-		t.Fatalf("cluster fixture must resolve to cluster mode, got %v", cl.Mode())
-	}
-	members := map[string]bool{}
-	for _, m := range cl.Cluster.Members {
-		members[m] = true
-	}
-	for _, b := range []*dlis.FleetConfig{b1, b2} {
-		if !members[b.Server.Listen] {
-			t.Errorf("backend %s is not a cluster member (%v)", b.Server.Listen, cl.Cluster.Members)
-		}
-		scfg, err := b.ServerConfig()
-		if err != nil {
-			t.Errorf("backend %s: %v", b.Server.Listen, err)
-			continue
-		}
-		hosted := map[string]bool{}
-		for _, s := range scfg.Stacks {
-			hosted[s.Key()] = true
-		}
-		for _, target := range cl.Load.Targets {
-			if !hosted[target] {
-				t.Errorf("backend %s does not host cluster target %q (stacks %v)", b.Server.Listen, target, scfg.Stacks)
-			}
-		}
-	}
-	if cl.Load.Requests != 600 {
-		t.Errorf("cluster fixture requests = %d; CI asserts served=600", cl.Load.Requests)
-	}
-
-	// The mux-smoke fixture: one dual-protocol backend serving the same
-	// pool over HTTP and DLW2 on distinct ports, so the smoke job can
-	// drive both transports against identical hosting and compare.
-	mx := load("fleet-mux-backend.json").Resolve()
-	if mx.Mode() != dlis.FleetModeListen {
-		t.Fatalf("mux backend must resolve to listen mode, got %v", mx.Mode())
-	}
-	if mx.Server.Listen == "" || mx.Server.MuxListen == "" {
-		t.Fatalf("mux backend must listen on both protocols, got listen=%q muxListen=%q",
-			mx.Server.Listen, mx.Server.MuxListen)
-	}
-	scfg, err := mx.ServerConfig()
+// hostedNames is every routing name a hosting config serves.
+func hostedNames(t *testing.T, c *dlis.FleetConfig) map[string]bool {
+	t.Helper()
+	scfg, err := c.ServerConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,25 +91,122 @@ func TestCIFixturesBootTheGauntlet(t *testing.T) {
 	for _, s := range scfg.Stacks {
 		hosted[s.Key()] = true
 	}
-	if !hosted["mini-vgg/plain"] {
-		t.Errorf("mux backend does not host mini-vgg/plain (stacks %v); the smoke job targets it", scfg.Stacks)
+	for _, e := range scfg.Endpoints {
+		hosted[e.Name] = true
 	}
+	return hosted
 }
 
-// TestPipelineFlagThreadsThrough pins the streaming-session load knob:
-// -pipeline must land in the resolved load section and survive the
-// flag-over-file override path.
-func TestPipelineFlagThreadsThrough(t *testing.T) {
-	cfg := mustParse(t, "-model", "mini-vgg", "-pipeline", "32")
-	if err := cfg.Validate(); err != nil {
+// TestCIFixturesBootTheGauntlet checks every committed fleet fixture
+// through the pipeline main runs (loadConfig): each parses, validates
+// and resolves to the role its CI step boots, and each load fixture
+// agrees with the backend fixtures it drives — every connect address
+// or cluster member dials one of them, and each of them hosts every
+// target. The per-fixture checks pin the values the CI greps assert.
+func TestCIFixturesBootTheGauntlet(t *testing.T) {
+	type fixture struct {
+		mode     dlis.FleetMode
+		backends []string // fixtures a load generator drives
+		check    func(t *testing.T, c *dlis.FleetConfig, backends []*dlis.FleetConfig)
+	}
+	load := func(clients, requests, pipeline int) func(*testing.T, *dlis.FleetConfig, []*dlis.FleetConfig) {
+		return func(t *testing.T, c *dlis.FleetConfig, _ []*dlis.FleetConfig) {
+			if l := c.Load; l.Clients != clients || l.Requests != requests || l.Pipeline != pipeline {
+				t.Errorf("load clients=%d requests=%d pipeline=%d, want %d/%d/%d",
+					l.Clients, l.Requests, l.Pipeline, clients, requests, pipeline)
+			}
+		}
+	}
+	fixtures := map[string]fixture{
+		"fleet-serve-smoke.json":      {mode: dlis.FleetModeLocal, check: load(8, 64, 0)},
+		"fleet-multi-variant.json":    {mode: dlis.FleetModeLocal, check: load(16, 64, 0)},
+		"fleet-loopback-backend.json": {mode: dlis.FleetModeListen},
+		"fleet-loopback-load.json":    {mode: dlis.FleetModeConnect, backends: []string{"fleet-loopback-backend.json"}, check: load(8, 64, 0)},
+		"fleet-backend-1.json":        {mode: dlis.FleetModeListen},
+		"fleet-backend-2.json":        {mode: dlis.FleetModeListen},
+		"fleet-cluster.json": {mode: dlis.FleetModeCluster, backends: []string{"fleet-backend-1.json", "fleet-backend-2.json"},
+			check: load(16, 600, 0)},
+		"fleet-mux-backend.json": {mode: dlis.FleetModeListen, check: func(t *testing.T, c *dlis.FleetConfig, _ []*dlis.FleetConfig) {
+			if c.Server.Listen == "" || c.Server.MuxListen == "" {
+				t.Errorf("mux backend must listen on both protocols, got listen=%q muxListen=%q", c.Server.Listen, c.Server.MuxListen)
+			}
+		}},
+		"fleet-mux-http-load.json": {mode: dlis.FleetModeConnect, backends: []string{"fleet-mux-backend.json"}, check: load(16, 600, 0)},
+		"fleet-mux-dlw2-load.json": {mode: dlis.FleetModeConnect, backends: []string{"fleet-mux-backend.json"}, check: load(64, 600, 32)},
+		"fleet-tenants.json":       {mode: dlis.FleetModeListen},
+		"fleet-tenant-load.json": {mode: dlis.FleetModeConnect, backends: []string{"fleet-tenants.json"},
+			check: func(t *testing.T, c *dlis.FleetConfig, backends []*dlis.FleetConfig) {
+				load(11, 220, 0)(t, c, backends)
+				// The mix offers load as the tenants the backend declares,
+				// at the weights it gives them.
+				weights := map[string]int{}
+				for _, d := range backends[0].Tenants.Defs {
+					weights[d.Name] = d.Weight
+				}
+				for _, m := range c.Load.Tenants {
+					if weights[m.Name] != m.Weight {
+						t.Errorf("load tenant %s weight %d, backend declares %d", m.Name, m.Weight, weights[m.Name])
+					}
+				}
+				if len(c.Load.Tenants) != 2 {
+					t.Errorf("load tenants = %+v, want the t0/t1 mix", c.Load.Tenants)
+				}
+			}},
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Resolve().Load.Pipeline; got != 32 {
-		t.Errorf("resolved pipeline = %d, want 32", got)
+	if len(paths) != len(fixtures) {
+		t.Errorf("testdata holds %d fleet files, the table %d: every fixture needs a row", len(paths), len(fixtures))
 	}
-	neg := mustParse(t, "-model", "mini-vgg", "-pipeline", "-1")
-	if neg.Validate() == nil {
-		t.Error("negative -pipeline must be rejected by validation")
+	for _, path := range paths {
+		name := filepath.Base(path)
+		t.Run(name, func(t *testing.T) {
+			f, ok := fixtures[name]
+			if !ok {
+				t.Fatal("no row for this fixture")
+			}
+			c, err := loadConfig(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Mode() != f.mode {
+				t.Fatalf("resolves to mode %v, want %v", c.Mode(), f.mode)
+			}
+			var backends []*dlis.FleetConfig
+			for _, b := range f.backends {
+				bc, err := loadConfig(filepath.Join("testdata", b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				backends = append(backends, bc)
+			}
+			if f.backends != nil {
+				addrs := []string{c.Load.Connect}
+				if c.Cluster != nil {
+					addrs = c.Cluster.Members
+				}
+				if len(addrs) != len(backends) {
+					t.Fatalf("dials %v, want one address per backend fixture %v", addrs, f.backends)
+				}
+				for i, b := range backends {
+					if !slices.ContainsFunc(addrs, func(a string) bool { return dials(a, b) }) {
+						t.Errorf("no address of %v dials backend %s (listen=%q muxListen=%q)",
+							addrs, f.backends[i], b.Server.Listen, b.Server.MuxListen)
+					}
+					hosted := hostedNames(t, b)
+					for _, target := range c.Load.Targets {
+						if !hosted[target] {
+							t.Errorf("backend %s does not host target %q", f.backends[i], target)
+						}
+					}
+				}
+			}
+			if f.check != nil {
+				f.check(t, c, backends)
+			}
+		})
 	}
 }
 
@@ -290,8 +218,17 @@ func TestPipelineFlagThreadsThrough(t *testing.T) {
 // must not depend on whether the cache exists.
 func TestTunerCacheColdThenWarmBoot(t *testing.T) {
 	tc := t.TempDir()
-	args := []string{"-model", "mini-vgg", "-auto", "-replicas", "1", "-batch", "4",
-		"-clients", "4", "-requests", "32", "-tunercache", tc}
+	cfg := filepath.Join(t.TempDir(), "fleet.json")
+	fleet := fmt.Sprintf(`{
+  "server": {"tunerCache": %q},
+  "pool": {"replicas": 1, "batch": 4},
+  "models": [{"kind": "mini-vgg", "autoAlgo": true}],
+  "load": {"clients": 4, "requests": 32}
+}`, tc)
+	if err := os.WriteFile(cfg, []byte(fleet), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-config", cfg}
 	counters := regexp.MustCompile(`(?m)^tuner cache: hits=(\d+) memo=\d+ timed=(\d+) `)
 	boot := func() (hits, timed int, saved bool, out string) {
 		out = runServe(t, args...)

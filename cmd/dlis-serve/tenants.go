@@ -2,70 +2,17 @@ package main
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
-
-	dlis "repro"
 )
 
-// tenantMix is one synthetic tenant of the -tenants load mix: the
+// tenantMix is one synthetic tenant of the load.tenants mix: the
 // identity the load generator stamps on its requests, and the weight
-// that skews both the offered load and — in hosting modes — the
-// server's fair-share configuration.
+// that skews the offered load. Its fields mirror the fleet file's
+// load tenant, so main converts one to the other.
 type tenantMix struct {
 	Name   string
 	Weight int
-}
-
-// parseTenantMix parses -tenants "N" or "N:w1,...,wN" into N synthetic
-// tenants t0..tN-1. Without the weight list every tenant weighs 1;
-// with it, the list length must match N and every weight must be a
-// positive integer. An empty spec is nil: the untenanted (anonymous)
-// load mix the generator always ran.
-func parseTenantMix(s string) ([]tenantMix, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	spec, weights, hasWeights := strings.Cut(s, ":")
-	n, err := strconv.Atoi(strings.TrimSpace(spec))
-	if err != nil || n < 1 {
-		return nil, fmt.Errorf("malformed -tenants %q: want N or N:w1,...,wN with N ≥ 1", s)
-	}
-	mix := make([]tenantMix, n)
-	for i := range mix {
-		mix[i] = tenantMix{Name: "t" + strconv.Itoa(i), Weight: 1}
-	}
-	if hasWeights {
-		ws := splitList(weights)
-		if len(ws) != n {
-			return nil, fmt.Errorf("-tenants %q: %d weight(s) for %d tenant(s)", s, len(ws), n)
-		}
-		for i, w := range ws {
-			wi, err := strconv.Atoi(w)
-			if err != nil || wi < 1 {
-				return nil, fmt.Errorf("-tenants %q: weight %q is not a positive integer", s, w)
-			}
-			mix[i].Weight = wi
-		}
-	}
-	return mix, nil
-}
-
-// tenantSection lowers the mix to a fleet-config tenants section, so a
-// hosting process configured purely by flags registers the same
-// weighted fair shares the load generator is about to skew against.
-func tenantSection(mix []tenantMix) *dlis.FleetTenants {
-	if len(mix) == 0 {
-		return nil
-	}
-	t := &dlis.FleetTenants{Defs: make([]dlis.FleetTenantDef, len(mix))}
-	for i, m := range mix {
-		t.Defs[i] = dlis.FleetTenantDef{Name: m.Name, Weight: m.Weight}
-	}
-	return t
 }
 
 // splitByWeight apportions total across the mix proportionally to

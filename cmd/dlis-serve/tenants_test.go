@@ -8,33 +8,6 @@ import (
 	dlis "repro"
 )
 
-// TestParseTenantMix pins the -tenants grammar: N or N:w1,...,wN, with
-// synthetic names t0..tN-1 and positive weights defaulting to 1.
-func TestParseTenantMix(t *testing.T) {
-	mix, err := parseTenantMix("3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 3 || mix[0] != (tenantMix{"t0", 1}) || mix[2] != (tenantMix{"t2", 1}) {
-		t.Fatalf("parseTenantMix(3) = %+v", mix)
-	}
-	mix, err = parseTenantMix("2:10,1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mix[0] != (tenantMix{"t0", 10}) || mix[1] != (tenantMix{"t1", 1}) {
-		t.Fatalf("parseTenantMix(2:10,1) = %+v", mix)
-	}
-	if mix, err := parseTenantMix(""); mix != nil || err != nil {
-		t.Fatalf("empty spec = %+v, %v; want nil, nil", mix, err)
-	}
-	for _, bad := range []string{"0", "-1", "x", "2:10", "2:10,1,1", "2:0,1", "2:10,-1", "2:a,b"} {
-		if _, err := parseTenantMix(bad); err == nil {
-			t.Errorf("parseTenantMix(%q) accepted, want error", bad)
-		}
-	}
-}
-
 // TestSplitByWeight: proportional integer shares, round-robin
 // remainder, and the one-per-tenant floor.
 func TestSplitByWeight(t *testing.T) {
@@ -53,54 +26,6 @@ func TestSplitByWeight(t *testing.T) {
 	// zero — the sum may exceed the total, never strand a tenant.
 	if got := splitByWeight(2, []tenantMix{{"t0", 100}, {"t1", 1}}); got[1] != 1 {
 		t.Fatalf("splitByWeight(2, 100:1) = %v, want a floor of 1 for t1", got)
-	}
-}
-
-// TestTenantsFlagBuildsSection: in hosting modes -tenants registers the
-// synthetic tenants with their weights; in remote modes it only shapes
-// the load loop (a remote role rejects a tenants section outright).
-func TestTenantsFlagBuildsSection(t *testing.T) {
-	cfg := mustParse(t, "-model", "mini-vgg", "-tenants", "2:10,1")
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tn := cfg.Tenants
-	if tn == nil || len(tn.Defs) != 2 {
-		t.Fatalf("hosting -tenants built section %+v, want 2 defs", tn)
-	}
-	if tn.Defs[0] != (dlis.FleetTenantDef{Name: "t0", Weight: 10}) ||
-		tn.Defs[1] != (dlis.FleetTenantDef{Name: "t1", Weight: 1}) {
-		t.Fatalf("flag-built defs = %+v", tn.Defs)
-	}
-
-	remote := mustParse(t, "-connect", "127.0.0.1:18083", "-model", "mini-vgg/plain", "-tenants", "2:10,1")
-	if err := remote.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if remote.Tenants != nil {
-		t.Fatalf("remote -tenants leaked a server section %+v; a load generator enforces no tenancy", remote.Tenants)
-	}
-
-	if _, err := parse(t, "-model", "mini-vgg", "-tenants", "2:10"); err == nil {
-		t.Fatal("mismatched weight count accepted")
-	}
-}
-
-// TestTenantsFlagOverridesConfigFile: -tenants over a file rebuilds the
-// section wholesale, like -model does the hosted sections.
-func TestTenantsFlagOverridesConfigFile(t *testing.T) {
-	path := filepath.Join("testdata", "fleet-tenants.json")
-	base := mustParse(t, "-config", path)
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if base.Tenants == nil || base.Tenants.Defs[0].RequestsPerSec != 5 {
-		t.Fatalf("file tenants section = %+v", base.Tenants)
-	}
-
-	over := mustParse(t, "-config", path, "-tenants", "3")
-	if len(over.Tenants.Defs) != 3 || over.Tenants.Defs[0].RequestsPerSec != 0 {
-		t.Fatalf("-tenants override kept the file's defs: %+v", over.Tenants)
 	}
 }
 

@@ -336,8 +336,8 @@ func NewMuxListener(srv *Server, cfg MuxListenerConfig) *MuxListener {
 // the transport from the address alone: "dlw2://host:port" is a
 // MuxClient, and "http://…", "https://…" or a bare "host:port" is an
 // HTTPClient (a bare address gets the http scheme). No call probes the
-// port. This is the dial cmd/dlis-serve uses for -connect and for
-// cluster members.
+// port. This is the dial cmd/dlis-serve uses for a fleet file's
+// load.connect and cluster members.
 func DialBackend(addr string, opts ...ClientOption) Client {
 	if strings.HasPrefix(addr, DLW2Scheme+"://") {
 		return muxwire.NewClient(addr, opts...)
@@ -393,7 +393,8 @@ func NewHTTPClient(base string, opts ...ClientOption) *HTTPClient {
 
 // NewHTTPHandler exposes srv over HTTP. maxBodyBytes bounds request
 // bodies (0 = the 64 MiB default); the caller owns the listener
-// lifecycle. See cmd/dlis-serve -listen for a ready-made server mode.
+// lifecycle. A fleet file with server.listen makes cmd/dlis-serve a
+// ready-made server.
 func NewHTTPHandler(srv *Server, maxBodyBytes int64) *HTTPHandler {
 	return httpapi.NewHandler(srv, maxBodyBytes)
 }
@@ -435,7 +436,7 @@ func NewCluster(members []ClusterMember, opts ...ClusterOption) (*Cluster, error
 // DESIGN.md §10): one JSON file describes a whole serving topology —
 // hosted models, SLO-routed endpoints, pool tuning, the server role,
 // cluster membership and the load parameters — with strict parsing,
-// typed field-path-qualified validation, and flag-parity defaults. The
+// typed field-path-qualified validation, and one set of defaults. The
 // lifecycle is ParseFleetConfig → Validate → Resolve → ServerConfig;
 // cmd/dlis-serve -config boots any process role from such a file.
 type (
@@ -444,30 +445,10 @@ type (
 	// FleetServer is the server section (listen address, memory limit,
 	// seed).
 	FleetServer = fleetcfg.Server
-	// FleetCluster is the cluster section (member addresses, probe
-	// interval).
-	FleetCluster = fleetcfg.Cluster
-	// FleetPool is the shared pool tuning (replicas, batch, delay,
-	// queue cap).
-	FleetPool = fleetcfg.Pool
 	// FleetModel declares one stack configuration.
 	FleetModel = fleetcfg.Model
-	// FleetEndpoint declares one SLO-routed multi-variant endpoint.
-	FleetEndpoint = fleetcfg.Endpoint
-	// FleetLoad is the closed-loop load-generator section.
-	FleetLoad = fleetcfg.Load
-	// FleetSLO is the request objective the load generator carries.
-	FleetSLO = fleetcfg.SLO
-	// FleetTenants is the per-tenant tier section (window, usage file,
-	// tenant declarations).
-	FleetTenants = fleetcfg.Tenants
-	// FleetTenantDef declares one tenant in a fleet file.
-	FleetTenantDef = fleetcfg.TenantDef
 	// FleetOperatingPoint pins a compression level in a fleet file.
 	FleetOperatingPoint = fleetcfg.OperatingPoint
-	// FleetDuration is the human-writable duration type fleet files use
-	// ("2ms", "1.5s").
-	FleetDuration = fleetcfg.Duration
 	// FleetConfigError is one validation failure, locating the
 	// offending field by its JSON path; match with errors.As.
 	FleetConfigError = fleetcfg.Error

@@ -3,8 +3,11 @@ package fleetcfg
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/serve/tenant"
 )
 
 // baseLocal is a valid local-mode config exercising both hosted
@@ -32,6 +35,15 @@ func baseCluster() *Config {
 		Cluster: &Cluster{Members: []string{"127.0.0.1:18081", "127.0.0.1:18082"}},
 		Load:    &Load{Targets: []string{"mini-vgg/plain"}, Clients: 4, Requests: 64},
 	}
+}
+
+// baseConnect is a valid remote load generator driving one pipelined
+// DLW2 session per target with a weighted two-tenant mix.
+func baseConnect() *Config {
+	return &Config{Load: &Load{
+		Connect: "dlw2://127.0.0.1:18091", Targets: []string{"mini-vgg/plain"}, Requests: 600, Pipeline: 32,
+		Tenants: []LoadTenant{{Name: "t0", Weight: 10}, {Name: "t1", Weight: 1}},
+	}}
 }
 
 // TestConfigValidate proves every rejection class: each row mutates a
@@ -208,6 +220,24 @@ func TestConfigValidate(t *testing.T) {
 		{"negative requests", baseLocal, func(c *Config) {
 			c.Load.Requests = -1
 		}, "load.requests"},
+		{"negative pipeline", baseConnect, func(c *Config) {
+			c.Load.Pipeline = -1
+		}, "load.pipeline"},
+		{"oversized load tenant name", baseConnect, func(c *Config) {
+			c.Load.Tenants[0].Name = strings.Repeat("a", tenant.MaxIDLen+1)
+		}, "load.tenants[0].name"},
+		{"control character in load tenant name", baseConnect, func(c *Config) {
+			c.Load.Tenants[1].Name = "t1\nprod"
+		}, "load.tenants[1].name"},
+		{"duplicate load tenant", baseConnect, func(c *Config) {
+			c.Load.Tenants[1].Name = "t0"
+		}, "load.tenants[1].name"},
+		{"zero load tenant weight", baseConnect, func(c *Config) {
+			c.Load.Tenants[1].Weight = 0
+		}, "load.tenants[1].weight"},
+		{"negative load tenant weight", baseLocal, func(c *Config) {
+			c.Load.Tenants = []LoadTenant{{Name: "t0", Weight: -1}}
+		}, "load.tenants[0].weight"},
 		{"accuracy above 100", baseLocal, func(c *Config) {
 			c.Load.SLO.MinAccuracy = 120
 		}, "load.slo.minAccuracy"},
@@ -259,7 +289,7 @@ func TestConfigValidate(t *testing.T) {
 // flip once defaults are filled: a valid config stays valid resolved,
 // and Resolve is idempotent.
 func TestValidateAcceptsResolved(t *testing.T) {
-	for name, base := range map[string]func() *Config{"local": baseLocal, "cluster": baseCluster} {
+	for name, base := range map[string]func() *Config{"local": baseLocal, "cluster": baseCluster, "connect": baseConnect} {
 		r := base().Resolve()
 		if err := r.Validate(); err != nil {
 			t.Fatalf("%s: resolved config must validate, got: %v", name, err)
@@ -277,6 +307,27 @@ func TestResolvePure(t *testing.T) {
 	c.Resolve()
 	if !reflect.DeepEqual(&before, c) {
 		t.Fatalf("Resolve mutated its receiver:\nbefore %+v\nafter  %+v", &before, c)
+	}
+}
+
+// TestResolveKeepsLoadShape pins that the load fields with no default
+// (the pipeline window and the tenant mix) survive Resolve as written,
+// and that the resolved mix is a copy, not an alias of the receiver's.
+func TestResolveKeepsLoadShape(t *testing.T) {
+	c := baseConnect()
+	r := c.Resolve()
+	if r.Load.Pipeline != 32 {
+		t.Errorf("resolved pipeline = %d, want 32", r.Load.Pipeline)
+	}
+	if !reflect.DeepEqual(r.Load.Tenants, c.Load.Tenants) {
+		t.Errorf("resolved tenants = %+v, want %+v", r.Load.Tenants, c.Load.Tenants)
+	}
+	r.Load.Tenants[0].Weight = 99
+	if c.Load.Tenants[0].Weight != 10 {
+		t.Error("the resolved tenant mix aliases the receiver's")
+	}
+	if got := baseConnect().Topology(); !strings.Contains(got, " pipeline=32 ") || !strings.Contains(got, " tenants=[t0:10 t1:1]") {
+		t.Errorf("topology does not render the load shape:\n%s", got)
 	}
 }
 

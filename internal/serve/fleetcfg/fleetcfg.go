@@ -13,7 +13,7 @@
 //
 //	cfg, err := fleetcfg.Parse(data)   // strict JSON (unknown fields rejected)
 //	err = cfg.Validate()               // typed, field-path-qualified errors
-//	rcfg := cfg.Resolve()              // defaults filled, same values as flags
+//	rcfg := cfg.Resolve()              // every omitted field defaulted
 //	scfg, err := rcfg.ServerConfig()   // the serve.Config that boots it
 //
 // Parse is syntax only; Validate is where every semantic rejection
@@ -21,9 +21,9 @@
 // SLOs, bad addresses, queue caps below the batch size, contradictory
 // process roles), each reported as an *Error naming the offending
 // field by its JSON path so a config error in a 200-line fleet file
-// points at the line that caused it. Resolve fills the exact defaults
-// the flag interface and serve.DefaultConfig use, so an empty section
-// behaves identically to an unset flag.
+// points at the line that caused it. Resolve fills the defaults
+// serve.DefaultConfig uses, so an omitted pool field behaves exactly
+// like the serving layer's zero value.
 package fleetcfg
 
 import (
@@ -284,6 +284,21 @@ type Load struct {
 	Requests int `json:"requests,omitempty"`
 	// SLO is the objective every generated request carries.
 	SLO *SLO `json:"slo,omitempty"`
+	// Tenants is the synthetic tenant mix the generator offers: clients
+	// and request budgets split across the tenants in proportion to
+	// weight, and every request carries its tenant's name. It shapes the
+	// offered load only; fair-share weights and quotas are the hosting
+	// process's tenants section. Empty runs one anonymous tenant.
+	Tenants []LoadTenant `json:"tenants,omitempty"`
+}
+
+// LoadTenant is one synthetic tenant of the load mix.
+type LoadTenant struct {
+	// Name is the tenant identity stamped on the tenant's requests.
+	Name string `json:"name"`
+	// Weight is the tenant's share of the clients and request budget;
+	// it must be at least 1.
+	Weight int `json:"weight"`
 }
 
 // SLO is the request service-level objective (see serve.SLO).

@@ -12,9 +12,9 @@ import (
 // none is declared — the paper's primary measurement target.
 const defaultPlatform = "odroid-xu4"
 
-// defaultTuning is the flag/config default parity anchor: the resolved
-// pool tuning an empty Pool section takes, byte-for-byte the values
-// serve.DefaultConfig resolves zero fields to.
+// defaultTuning is the resolved pool tuning an empty Pool section
+// takes: byte-for-byte the values serve.DefaultConfig resolves zero
+// fields to.
 func defaultTuning() serve.Config { return serve.DefaultConfig() }
 
 // clone deep-copies the config so Resolve never aliases (or mutates)
@@ -52,6 +52,7 @@ func (c *Config) clone() *Config {
 	if c.Load != nil {
 		l := *c.Load
 		l.Targets = append([]string(nil), c.Load.Targets...)
+		l.Tenants = append([]LoadTenant(nil), c.Load.Tenants...)
 		if c.Load.SLO != nil {
 			s := *c.Load.SLO
 			l.SLO = &s
@@ -74,9 +75,9 @@ func cloneInt(p *int) *int {
 	return &v
 }
 
-// Resolve returns a copy with every omitted field filled with the same
-// default the flag interface and serve.DefaultConfig use today, so an
-// empty section behaves identically to an unset flag. Resolve is
+// Resolve returns a copy with every omitted field filled with its
+// default (the pool tuning is serve.DefaultConfig's), so an omitted
+// field and its default value boot the same process. Resolve is
 // idempotent — resolving a resolved config is the identity — and pure:
 // the receiver is never mutated. Resolve does not validate; run
 // Validate first (its judgements are the same before and after).

@@ -166,6 +166,13 @@ func (c *Config) Topology() string {
 		if s := l.SLO; s != nil {
 			fmt.Fprintf(&b, " slo[acc>=%.1f%% lat<=%s prio=%d]", s.MinAccuracy, s.MaxLatency, s.Priority)
 		}
+		if len(l.Tenants) > 0 {
+			mix := make([]string, len(l.Tenants))
+			for i, t := range l.Tenants {
+				mix[i] = fmt.Sprintf("%s:%d", t.Name, t.Weight)
+			}
+			fmt.Fprintf(&b, " tenants=[%s]", strings.Join(mix, " "))
+		}
 		b.WriteString("\n")
 	}
 	return b.String()

@@ -49,7 +49,7 @@ func (m Mode) String() string {
 }
 
 // Mode derives the process role from which sections are present. This
-// is the single place flags and files resolve to a role; the
+// is the single place a fleet file resolves to a role; the
 // contradictions Validate rejects make the derivation order here
 // unambiguous (a valid config matches at most one arm).
 func (c *Config) Mode() Mode {
@@ -180,8 +180,8 @@ func (c *Config) Validate() error {
 	return c.validateTenants()
 }
 
-// validateRoles rejects contradictory process roles — the conditions
-// under which the old flag interface silently picked one mode.
+// validateRoles rejects contradictory process roles: a file that asks
+// for two roles at once is an error, never a silent pick of one.
 func (c *Config) validateRoles() error {
 	listen := c.Server != nil && (c.Server.Listen != "" || c.Server.MuxListen != "")
 	connect := c.Load != nil && c.Load.Connect != ""
@@ -453,6 +453,20 @@ func (c *Config) validateLoad() error {
 		}
 		if s.MaxLatency < 0 {
 			return errf("load.slo.maxLatency", "%v must not be negative", s.MaxLatency)
+		}
+	}
+	tenants := make(map[string]int, len(l.Tenants))
+	for i, t := range l.Tenants {
+		path := fmt.Sprintf("load.tenants[%d]", i)
+		if err := serve.ValidateTenantID(t.Name); err != nil {
+			return errf(path+".name", "%v", err)
+		}
+		if j, dup := tenants[t.Name]; dup {
+			return errf(path+".name", "duplicate tenant %q (also tenants[%d])", t.Name, j)
+		}
+		tenants[t.Name] = i
+		if t.Weight < 1 {
+			return errf(path+".weight", "%d must be ≥ 1", t.Weight)
 		}
 	}
 	local := c.Cluster == nil && l.Connect == ""

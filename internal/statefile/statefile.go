@@ -18,8 +18,9 @@ import (
 // Updates from any goroutine or process sharing the directory
 // serialise instead of dropping each other's writes. The new contents
 // go to a synced temp file in the same directory and are installed by
-// rename, so readers never see a torn file. The lock is on the
-// directory itself, so nothing but path is left behind.
+// rename, so readers never see a torn file; the directory is synced
+// after the rename, so the installed file survives a crash. The lock is
+// on the directory itself, so nothing but path is left behind.
 func Update(path string, merge func(current []byte) ([]byte, error)) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -34,11 +35,11 @@ func Update(path string, merge func(current []byte) ([]byte, error)) error {
 		return &os.PathError{Op: "flock", Path: dir, Err: err}
 	}
 	current, _ := os.ReadFile(path) // missing or unreadable merges as empty
+	var tmp *os.File
 	data, err := merge(current)
-	if err != nil {
-		return err
+	if err == nil {
+		tmp, err = os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -50,10 +51,14 @@ func Update(path string, merge func(current []byte) ([]byte, error)) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		// The rename is a directory entry: sync the directory too, or a
+		// crash can lose the installed file.
+		if err = os.Rename(tmp.Name(), path); err == nil {
+			err = d.Sync()
+		}
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
+		os.Remove(tmp.Name()) // a no-op once the rename has happened
 	}
 	return err
 }

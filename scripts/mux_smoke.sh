@@ -38,16 +38,16 @@ go build -o "$work/dlis-serve" ./cmd/dlis-serve
 SRV=$!
 
 echo "== closed-loop load over HTTP =="
-"$work/dlis-serve" -connect http://127.0.0.1:18090 -model mini-vgg/plain \
-  -clients 16 -requests 600 | tee "$work/http.log"
+"$work/dlis-serve" -config cmd/dlis-serve/testdata/fleet-mux-http-load.json -dryrun
+"$work/dlis-serve" -config cmd/dlis-serve/testdata/fleet-mux-http-load.json | tee "$work/http.log"
 grep -Eq 'client loop \(clients=16\): served=600 ' "$work/http.log"
 if grep -q 'client(s) aborted on error' "$work/http.log"; then
   echo "HTTP load-generator clients saw hard failures"; exit 1
 fi
 
 echo "== pipelined session load over dlw2:// =="
-"$work/dlis-serve" -connect dlw2://127.0.0.1:18091 -model mini-vgg/plain \
-  -requests 600 -pipeline 32 | tee "$work/mux.log"
+"$work/dlis-serve" -config cmd/dlis-serve/testdata/fleet-mux-dlw2-load.json -dryrun
+"$work/dlis-serve" -config cmd/dlis-serve/testdata/fleet-mux-dlw2-load.json | tee "$work/mux.log"
 grep -Eq 'client loop \(pipeline=32\): served=600 ' "$work/mux.log"
 if grep -q 'client(s) aborted on error' "$work/mux.log"; then
   echo "DLW2 load-generator clients saw hard failures"; exit 1
